@@ -90,6 +90,12 @@ class DistLocalEngine {
                         std::span<const index_t> labels, Optimizer<T>& opt,
                         std::span<const std::uint8_t> mask = {}) {
     AGNN_TRACE_SCOPE("local_dist.train_step", kPhase);
+    // Every rank slices its own rows out of the replicated labels and mask,
+    // so a short one would be read past its end on the last rank.
+    AGNN_ASSERT(static_cast<index_t>(labels.size()) == n_,
+                "train_step: labels must hold one entry per vertex");
+    AGNN_ASSERT(mask.empty() || static_cast<index_t>(mask.size()) == n_,
+                "train_step: mask must be empty or hold one entry per vertex");
     std::vector<LocalLayerCache<T>>& caches = caches_;  // persistent slots
     const DenseMatrix<T> h_own = forward(x_global, &caches);
 

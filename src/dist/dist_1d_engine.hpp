@@ -37,12 +37,15 @@ struct Dist1dLayerCache {
 
 template <typename T>
 class Dist1dGlobalEngine
-    : public EngineCoreBase<T, Dist1dLayerCache<T>, Dist1dGlobalEngine<T>> {
-  using Base = EngineCoreBase<T, Dist1dLayerCache<T>, Dist1dGlobalEngine<T>>;
+    : public EngineCoreBase<T, GnnModel<T>, Dist1dLayerCache<T>,
+                            Dist1dGlobalEngine<T>> {
+  using Base = EngineCoreBase<T, GnnModel<T>, Dist1dLayerCache<T>,
+                              Dist1dGlobalEngine<T>>;
   friend Base;
 
  public:
   using LayerCache = Dist1dLayerCache<T>;
+  using Grads = LayerGrads<T>;
   static constexpr const char* kForwardSpan = "dist1d.forward";
   static constexpr const char* kTrainSpan = "dist1d.train_step";
 
@@ -53,8 +56,6 @@ class Dist1dGlobalEngine
         vr_(block_range(this->n_, p_, world.rank())) {
     a_loc_ = a_global.block(vr_.begin, vr_.end, 0, this->n_);
   }
-
-  const BlockRange& owned_block() const { return vr_; }
 
   // Owned row blocks partition [0, n) in rank order, so the allgatherv
   // concatenation IS the global matrix.
@@ -88,7 +89,7 @@ class Dist1dGlobalEngine
   DenseMatrix<T> layer_forward(const Layer<T>& layer, const DenseMatrix<T>& h_own,
                                Dist1dLayerCache<T>* cache) {
     AGNN_TRACE_SCOPE("dist1d.layer_forward", kPhase);
-    typename Base::LayerParams params = this->broadcast_params(layer);
+    const LayerParams<T> params = broadcast_params(this->world_, layer);
     const DenseMatrix<T>& w = params.w;
     const std::vector<T>& a = params.a;
     const DenseMatrix<T>& w2 = params.w2;

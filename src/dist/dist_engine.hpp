@@ -18,487 +18,141 @@
 // the theory-verification benchmark (bench_comm_volume) checks against the
 // closed-form bound.
 //
-// The step plumbing (layer loop, loss, gradient chaining) lives in the
-// policy-parameterized EngineCoreBase; this file holds only the 1.5D layer
-// math and layout exchanges.
+// The step plumbing lives in EngineCoreBase and the per-model layer math in
+// BlockLayer (dist/block_layer.hpp); this file holds only the 1.5D layout:
+// its grid, its layout verbs, and the local Psi-block build + SpMM, which
+// run on whole blocks with the library kernels.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
-#include "dist/engine_core.hpp"
+#include "dist/block_layer.hpp"
 #include "graph/graph.hpp"
 
 namespace agnn::dist {
 
-// Per-layer intermediates cached by the distributed forward pass.
 template <typename T>
-struct DistLayerCache {
-  DenseMatrix<T> h_b;         // H^l rows C_j
-  DenseMatrix<T> h_r;         // H^l rows R_i (partner-fetched; VA/AGNN)
-  DenseMatrix<T> z_b;         // Z^l rows C_j
-  CsrMatrix<T> psi_loc;       // Psi block (i, j)
-  CsrMatrix<T> cos_loc;       // AGNN: cosine block (Psi before A-weighting)
-  DenseMatrix<T> ph_r;        // (Psi H)_Ri; for GIN the full X = (A+(1+e)I)H
-  // GIN:
-  DenseMatrix<T> mlp_pre_r;   // (X W)_Ri pre-activation
-  DenseMatrix<T> mlp_hidden_r;  // sigma_mlp(X W)_Ri
-  // GAT:
-  DenseMatrix<T> hp_b;        // H' = H W rows C_j
-  CsrMatrix<T> scores_pre_loc;  // C block (pre-LeakyReLU)
-  std::vector<T> s1_r, s2_b;
-};
-
-template <typename T>
-class DistGnnEngine
-    : public EngineCoreBase<T, DistLayerCache<T>, DistGnnEngine<T>> {
-  using Base = EngineCoreBase<T, DistLayerCache<T>, DistGnnEngine<T>>;
-  friend Base;
-
+class Layout1_5D {
  public:
-  using LayerCache = DistLayerCache<T>;
   static constexpr const char* kForwardSpan = "dist1_5d.forward";
   static constexpr const char* kTrainSpan = "dist1_5d.train_step";
+  static constexpr const char* kLayerForwardSpan = "dist1_5d.layer_forward";
+  static constexpr const char* kLayerBackwardSpan = "dist1_5d.layer_backward";
 
-  // Collective constructor: every rank passes the same global adjacency and
-  // a model replica (identical across ranks by construction — same config
-  // seed). Block extraction is local; initial data distribution is not
-  // charged, matching the paper's accounting.
-  DistGnnEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
-                GnnModel<T>& model)
-      : Base(world, a_global.rows(), model),
+  Layout1_5D(comm::Communicator& world, const CsrMatrix<T>& a_global)
+      : world_(world),
+        n_(a_global.rows()),
         grid_(ProcessGrid::side_for(world.size())),
         gi_(grid_.row_of(world.rank())),
         gj_(grid_.col_of(world.rank())),
         row_comm_(world.split(gi_, gj_)),
         col_comm_(world.split(grid_.q + gj_, gi_)),
-        ri_(block_range(this->n_, grid_.q, gi_)),
-        cj_(block_range(this->n_, grid_.q, gj_)) {
+        ri_(block_range(n_, grid_.q, gi_)),
+        cj_(block_range(n_, grid_.q, gj_)) {
     AGNN_ASSERT(a_global.rows() == a_global.cols(), "adjacency must be square");
     a_loc_ = a_global.block(ri_.begin, ri_.end, cj_.begin, cj_.end);
     a_loc_t_ = a_loc_.transposed();
   }
 
-  const BlockRange& row_block() const { return ri_; }
-  const BlockRange& col_block() const { return cj_; }
-  const CsrMatrix<T>& local_adjacency() const { return a_loc_; }
+  comm::Communicator& world() { return world_; }
+  comm::Communicator& row_comm() { return row_comm_; }
+  const CsrMatrix<T>& a_loc() const { return a_loc_; }
+  const CsrMatrix<T>& a_loc_t() const { return a_loc_t_; }
+  BlockRange owned_block() const { return cj_; }
+  index_t owned_rows() const { return cj_.size(); }
+  index_t r_rows() const { return ri_.size(); }
+
+  // Blocks are replicated across grid rows (layout B) and grid columns
+  // (layout R): row 0 and column 0 hold the copies that count in sums over
+  // the global vertex set (loss, output gather, parameter gradients).
+  bool counts_in_loss() const { return gi_ == 0; }
+  bool owns_r_copy() const { return gj_ == 0; }
+
+  // ---- layout verbs ----------------------------------------------------------
+
+  // On the square grid both directions are the transpose-partner exchange.
+  void to_r(std::span<const T> x_o, index_t, std::span<T> out_r) {
+    partner_exchange(x_o, out_r);
+  }
+  void to_owned(std::span<const T> x_r, index_t, std::span<T> out_o) {
+    partner_exchange(x_r, out_o);
+  }
+  // The column slice is the owned block C_j: sum it down the grid column.
+  void reduce_cols(std::span<const T> x_c, index_t, std::span<T> out_o) {
+    std::copy(x_c.begin(), x_c.end(), out_o.begin());
+    col_comm_.allreduce_sum(out_o);
+  }
+  const DenseMatrix<T>& col_operand(const DenseMatrix<T>& x_o,
+                                    const DenseMatrix<T>&) const {
+    return x_o;
+  }
 
   // Reassemble a layout-B distributed matrix into the full global matrix.
-  DenseMatrix<T> gather_layout_b(const DenseMatrix<T>& local_b) {
+  DenseMatrix<T> gather_owned(const DenseMatrix<T>& local_b) {
     AGNN_ASSERT(local_b.rows() == cj_.size(), "gather: not a layout-B block");
     // Blocks C_0..C_{q-1} are held (among others) by ranks (0, 0)..(0, q-1),
     // which are world ranks 0..q-1 — exactly rank order for allgatherv.
     std::span<const T> contrib;
     if (gi_ == 0) contrib = local_b.flat();
-    const std::vector<T> flat = this->world_.allgatherv(contrib);
-    AGNN_ASSERT(static_cast<index_t>(flat.size()) == this->n_ * local_b.cols(),
+    const std::vector<T> flat = world_.allgatherv(contrib);
+    AGNN_ASSERT(static_cast<index_t>(flat.size()) == n_ * local_b.cols(),
                 "gather: unexpected total size");
-    return DenseMatrix<T>(this->n_, local_b.cols(), flat);
+    return DenseMatrix<T>(n_, local_b.cols(), flat);
   }
 
-  DenseMatrix<T> gather_output(const DenseMatrix<T>& local_b) {
-    return gather_layout_b(local_b);
-  }
+  // ---- local Psi block and SpMM ----------------------------------------------
 
- private:
-  // ---- engine-core policy hooks ---------------------------------------------
-
-  BlockRange input_block() const { return cj_; }
-  // Blocks are replicated across grid rows: only row 0 contributes to sums
-  // over the global vertex set (loss, output gather).
-  bool counts_in_loss() const { return gi_ == 0; }
-  const DenseMatrix<T>& cached_z(const DistLayerCache<T>& c) const {
-    return c.z_b;
-  }
-
-  // ---- layout exchange helpers ----------------------------------------------
-
-  // Transpose-partner exchange: give my layout-B block, receive the
-  // partner's — which is exactly my layout-R block (rows R_i). Also used in
-  // the other direction (R -> B). One block of nk/sqrt(p) words per rank.
-  void partner_exchange(const DenseMatrix<T>& mine, index_t out_rows,
-                        DenseMatrix<T>& out) {
-    out.resize(out_rows, mine.cols());
-    auto win = this->world_.expose(std::span<const T>(mine.flat()));
-    win.get(out.flat(), grid_.partner_of(this->world_.rank()), 0);
-    win.close();
-  }
-
-  DenseMatrix<T> partner_exchange(const DenseMatrix<T>& mine, index_t out_rows) {
-    DenseMatrix<T> out;
-    partner_exchange(mine, out_rows, out);
-    return out;
-  }
-
-  void partner_exchange_vec(const std::vector<T>& mine, index_t out_len,
-                            std::vector<T>& out) {
-    out.resize(static_cast<std::size_t>(out_len));
-    auto win = this->world_.expose(std::span<const T>(mine));
-    win.get(std::span<T>(out), grid_.partner_of(this->world_.rank()), 0);
-    win.close();
-  }
-
-  std::vector<T> partner_exchange_vec(const std::vector<T>& mine, index_t out_len) {
-    std::vector<T> out;
-    partner_exchange_vec(mine, out_len, out);
-    return out;
-  }
-
-  // ---- per-layer forward -----------------------------------------------------
-
-  DenseMatrix<T> layer_forward(const Layer<T>& layer, const DenseMatrix<T>& h_b,
-                               DistLayerCache<T>* cache) {
-    AGNN_TRACE_SCOPE("dist1_5d.layer_forward", kPhase);
-    typename Base::LayerParams params = this->broadcast_params(layer);
-    const DenseMatrix<T>& w = params.w;
-    const std::vector<T>& a = params.a;
-    const DenseMatrix<T>& w2 = params.w2;
-
-    // All intermediates live in the cache slots (or a throwaway scratch in
-    // inference mode), overwritten in place across steps.
-    DistLayerCache<T> scratch;
-    DistLayerCache<T>& c = cache ? *cache : scratch;
-    const DenseMatrix<T>* x_b = &h_b;  // aggregation input
-
-    switch (layer.kind()) {
-      case ModelKind::kGCN: {
-        c.psi_loc = a_loc_;
-        break;
-      }
-      case ModelKind::kGIN: {
-        // Plain-sum aggregation over A; the (1+eps) self term needs the
-        // R_i rows of H, which arrive via the partner exchange.
-        partner_exchange(h_b, ri_.size(), c.h_r);
-        c.psi_loc = a_loc_;
-        break;
-      }
-      case ModelKind::kVA: {
-        partner_exchange(h_b, ri_.size(), c.h_r);
-        comm::ComputeRegion t(this->world_.stats());
+  void aggregate(ModelKind kind, const DenseMatrix<T>& h_b, Workspace<T>& ws,
+                 BlockLayerCache<T>& c) {
+    comm::ComputeRegion t(world_.stats());
+    switch (kind) {
+      case ModelKind::kVA:
         sddmm(a_loc_, c.h_r, h_b, c.psi_loc);
         break;
-      }
       case ModelKind::kAGNN: {
-        partner_exchange(h_b, ri_.size(), c.h_r);
-        comm::ComputeRegion t(this->world_.stats());
         // Cosine block: sampled dot products divided by the row/col norms.
         // Norms are local because full feature rows are local in each layout.
         sddmm_unweighted(a_loc_, c.h_r, h_b, c.cos_loc);
-        auto nr = this->ws_.acquire_vec(ri_.size());
-        auto nc = this->ws_.acquire_vec(cj_.size());
+        auto nr = ws.acquire_vec(ri_.size());
+        auto nc = ws.acquire_vec(cj_.size());
         inv_row_norms(c.h_r, *nr);
         inv_row_norms(h_b, *nc);
         scale_rows_cols<T>(c.cos_loc, nr.cspan(), nc.cspan(), c.cos_loc);
         hadamard_same_pattern(c.cos_loc, a_loc_, c.psi_loc);
         break;
       }
-      case ModelKind::kGAT: {
-        {
-          comm::ComputeRegion t(this->world_.stats());
-          matmul(h_b, w, c.hp_b);
-          const std::span<const T> a_all(a);
-          const auto a2 = a_all.subspan(static_cast<std::size_t>(layer.out_features()));
-          matvec(c.hp_b, a2, c.s2_b);
-        }
-        std::vector<T> s1_b = matvec(c.hp_b, std::span<const T>(a).subspan(
-                                                 0, static_cast<std::size_t>(
-                                                        layer.out_features())));
-        partner_exchange_vec(s1_b, ri_.size(), c.s1_r);
-        {
-          comm::ComputeRegion t(this->world_.stats());
-          // E block: A ⊙ LeakyReLU(s1 1^T + 1 s2^T) sampled on the edges.
-          c.scores_pre_loc = a_loc_;
-          c.psi_loc = a_loc_;
-          auto pre = c.scores_pre_loc.vals_mutable();
-          auto ev = c.psi_loc.vals_mutable();
-          const T slope = layer.attention_slope();
-          for (index_t i = 0; i < a_loc_.rows(); ++i) {
-            const T s1i = c.s1_r[static_cast<std::size_t>(i)];
-            for (index_t e = a_loc_.row_begin(i); e < a_loc_.row_end(i); ++e) {
-              const T cv = s1i + c.s2_b[static_cast<std::size_t>(a_loc_.col_at(e))];
-              pre[static_cast<std::size_t>(e)] = cv;
-              ev[static_cast<std::size_t>(e)] =
-                  a_loc_.val_at(e) * (cv > T(0) ? cv : slope * cv);
-            }
-          }
-        }
-        dist_row_softmax_inplace(c.psi_loc, row_comm_, this->ws_);
-        x_b = &c.hp_b;
-        break;
-      }
+      default:  // GCN, GIN: plain aggregation over A
+        c.psi_loc = a_loc_;
     }
-
-    // Aggregation: local block SpMM, then reduce partial sums along the row.
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      spmm(c.psi_loc, *x_b, c.ph_r);
-    }
-    row_comm_.allreduce_sum(c.ph_r.flat());
-    // Z in layout R: for GAT it is the reduced aggregate itself; for the
-    // others a pooled buffer holds the projection.
-    const DenseMatrix<T>* z_r = &c.ph_r;
-    auto z_r_h = this->ws_.acquire_dense(ri_.size(), layer.out_features());
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      switch (layer.kind()) {
-        case ModelKind::kGAT:
-          break;
-        case ModelKind::kGIN:
-          // X = (A H) + (1+eps) H, then the per-row MLP.
-          axpy(T(1) + layer.gin_epsilon(), c.h_r, c.ph_r);
-          matmul(c.ph_r, w, c.mlp_pre_r);
-          activate(layer.mlp_activation(), c.mlp_pre_r, c.mlp_hidden_r, T(0.01));
-          matmul(c.mlp_hidden_r, w2, *z_r_h);
-          z_r = &*z_r_h;
-          break;
-        default:
-          matmul(c.ph_r, w, *z_r_h);
-          z_r = &*z_r_h;
-      }
-    }
-    // Redistribute Z from layout R to layout B to link into the next layer.
-    partner_exchange(*z_r, cj_.size(), c.z_b);
-    DenseMatrix<T> h_out;
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      activate(layer.activation(), c.z_b, h_out, T(0.01));
-    }
-    if (cache) c.h_b = h_b;
-    return h_out;
+    spmm(c.psi_loc, h_b, c.ph_r);
   }
 
-  // ---- per-layer backward -----------------------------------------------------
-
-  DenseMatrix<T> layer_backward(const Layer<T>& layer, const DistLayerCache<T>& cache,
-                                const DenseMatrix<T>& g_b, LayerGrads<T>& grads) {
-    AGNN_TRACE_SCOPE("dist1_5d.layer_backward", kPhase);
-    const DenseMatrix<T>& w = layer.weights();
-    switch (layer.kind()) {
-      case ModelKind::kGCN: return backward_gcn(layer, cache, g_b, grads, w);
-      case ModelKind::kVA: return backward_va(layer, cache, g_b, grads, w);
-      case ModelKind::kAGNN: return backward_agnn(layer, cache, g_b, grads, w);
-      case ModelKind::kGAT: return backward_gat(layer, cache, g_b, grads, w);
-      case ModelKind::kGIN: return backward_gin(layer, cache, g_b, grads, w);
+  void gat_scores(std::span<const T> a2, T slope, BlockLayerCache<T>& c) {
+    comm::ComputeRegion t(world_.stats());
+    matvec(c.hp_o, a2, c.s2_c);
+    c.scores_pre_loc = a_loc_;
+    c.psi_loc = a_loc_;
+    auto pre = c.scores_pre_loc.vals_mutable();
+    auto ev = c.psi_loc.vals_mutable();
+    for (index_t i = 0; i < a_loc_.rows(); ++i) {
+      gat_edge_scores(a_loc_, a_loc_.row_begin(i), a_loc_.row_end(i),
+                      c.s1_r[static_cast<std::size_t>(i)], c.s2_c, slope, pre, ev);
     }
-    AGNN_ASSERT(false, "unknown model kind");
-    return {};
   }
 
-  DenseMatrix<T> backward_gcn(const Layer<T>&, const DistLayerCache<T>& cache,
-                              const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                              const DenseMatrix<T>& w) {
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    grads.d_w = weight_grad_r(cache.ph_r, g_r);
-    comm::ComputeRegion t(this->world_.stats());
-    DenseMatrix<T> m_r = matmul_nt(g_r, w);
-    DenseMatrix<T> gamma_b = spmm(a_loc_t_, m_r);
-    col_comm_.allreduce_sum(gamma_b.flat());
-    return gamma_b;
+ private:
+  // Transpose-partner exchange: give my block, receive the partner's — my
+  // layout-B rows become the partner's layout-R rows and vice versa. One
+  // block of nk/sqrt(p) words per rank.
+  void partner_exchange(std::span<const T> mine, std::span<T> out) {
+    auto win = world_.expose(mine);
+    win.get(out, grid_.partner_of(world_.rank()), 0);
+    win.close();
   }
 
-  // GIN: dW2 = hidden^T G, dPre = (G W2^T) ⊙ sigma_mlp'(pre),
-  // dW = X^T dPre, dX = dPre W^T, Gamma = A^T dX + (1+eps) dX.
-  // All tall operands are cached in layout R; G is fetched into layout R.
-  DenseMatrix<T> backward_gin(const Layer<T>& layer, const DistLayerCache<T>& cache,
-                              const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                              const DenseMatrix<T>& w) {
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    grads.d_w2 = weight_grad_r(cache.mlp_hidden_r, g_r);
-    DenseMatrix<T> dx_r, gamma_b;
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      const DenseMatrix<T> d_hidden = matmul_nt(g_r, layer.weights2());
-      const DenseMatrix<T> d_pre = activation_backward(
-          layer.mlp_activation(), cache.mlp_pre_r, d_hidden, T(0.01));
-      // dW contribution from column 0 of the grid (layout-R replication).
-      DenseMatrix<T> dw(w.rows(), w.cols(), T(0));
-      if (gj_ == 0) dw = matmul_tn(cache.ph_r, d_pre);
-      grads.d_w = std::move(dw);
-      dx_r = matmul_nt(d_pre, w);
-      gamma_b = spmm(a_loc_t_, dx_r);
-    }
-    this->world_.allreduce_sum(grads.d_w.flat());
-    col_comm_.allreduce_sum(gamma_b.flat());
-    DenseMatrix<T> dx_b = partner_exchange(dx_r, cj_.size());
-    comm::ComputeRegion t(this->world_.stats());
-    axpy(T(1) + layer.gin_epsilon(), dx_b, gamma_b);
-    return gamma_b;
-  }
-
-  DenseMatrix<T> backward_va(const Layer<T>&, const DistLayerCache<T>& cache,
-                             const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                             const DenseMatrix<T>& w) {
-    DenseMatrix<T> m_b;
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      m_b = matmul_nt(g_b, w);
-    }
-    const DenseMatrix<T> m_r = partner_exchange(m_b, ri_.size());
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    grads.d_w = weight_grad_r(cache.ph_r, g_r);
-
-    DenseMatrix<T> nh_r, gamma2_b;
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      // N block = A ⊙ (M H^T): the backward SDDMM on the stationary pattern.
-      const CsrMatrix<T> n_loc = sddmm(a_loc_, m_r, cache.h_b);
-      nh_r = spmm(n_loc, cache.h_b);
-      gamma2_b = spmm(n_loc.transposed(), cache.h_r);
-      spmm_accumulate(cache.psi_loc.transposed(), m_r, gamma2_b);
-    }
-    row_comm_.allreduce_sum(nh_r.flat());
-    col_comm_.allreduce_sum(gamma2_b.flat());
-    DenseMatrix<T> gamma_b = partner_exchange(nh_r, cj_.size());
-    comm::ComputeRegion t(this->world_.stats());
-    axpy(T(1), gamma2_b, gamma_b);
-    return gamma_b;
-  }
-
-  DenseMatrix<T> backward_agnn(const Layer<T>&, const DistLayerCache<T>& cache,
-                               const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                               const DenseMatrix<T>& w) {
-    DenseMatrix<T> m_b;
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      m_b = matmul_nt(g_b, w);
-    }
-    const DenseMatrix<T> m_r = partner_exchange(m_b, ri_.size());
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    grads.d_w = weight_grad_r(cache.ph_r, g_r);
-
-    DenseMatrix<T> dh_r, dth_b, gamma_agg_b;
-    std::vector<T> rs_r, cs_b;
-    std::vector<T> norms_b;
-    DenseMatrix<T> hhat_b, hhat_r;
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      const CsrMatrix<T> d_loc = sddmm(a_loc_, m_r, cache.h_b);
-      const CsrMatrix<T> dc = hadamard_same_pattern(d_loc, cache.cos_loc);
-      rs_r = sparse_row_sums(dc);
-      cs_b = sparse_col_sums(dc);
-      norms_b = row_l2_norms(cache.h_b);
-      hhat_b = unit_rows(cache.h_b);
-      hhat_r = unit_rows(cache.h_r);
-      dh_r = spmm(d_loc, hhat_b);
-      dth_b = spmm(d_loc.transposed(), hhat_r);
-      gamma_agg_b = spmm(cache.psi_loc.transposed(), m_r);
-    }
-    row_comm_.allreduce_sum(std::span<T>(rs_r));
-    col_comm_.allreduce_sum(std::span<T>(cs_b));
-    row_comm_.allreduce_sum(dh_r.flat());
-    col_comm_.allreduce_sum(dth_b.flat());
-    col_comm_.allreduce_sum(gamma_agg_b.flat());
-    const std::vector<T> rs_b = partner_exchange_vec(rs_r, cj_.size());
-    DenseMatrix<T> sum_b = partner_exchange(dh_r, cj_.size());
-
-    comm::ComputeRegion t(this->world_.stats());
-    axpy(T(1), dth_b, sum_b);
-    const index_t k = sum_b.cols();
-    for (index_t i = 0; i < sum_b.rows(); ++i) {
-      const T ni = norms_b[static_cast<std::size_t>(i)];
-      T* row = sum_b.data() + i * k;
-      if (ni <= T(0)) {
-        for (index_t j = 0; j < k; ++j) row[j] = T(0);
-        continue;
-      }
-      const T coef = rs_b[static_cast<std::size_t>(i)] + cs_b[static_cast<std::size_t>(i)];
-      const T* hh = hhat_b.data() + i * k;
-      const T inv = T(1) / ni;
-      for (index_t j = 0; j < k; ++j) row[j] = (row[j] - coef * hh[j]) * inv;
-    }
-    axpy(T(1), gamma_agg_b, sum_b);
-    return sum_b;
-  }
-
-  DenseMatrix<T> backward_gat(const Layer<T>& layer, const DistLayerCache<T>& cache,
-                              const DenseMatrix<T>& g_b, LayerGrads<T>& grads,
-                              const DenseMatrix<T>& w) {
-    const DenseMatrix<T> g_r = partner_exchange(g_b, ri_.size());
-    const index_t k_out = layer.out_features();
-    const std::span<const T> a_all(layer.attention_params());
-    const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_out));
-    const auto a2 = a_all.subspan(static_cast<std::size_t>(k_out));
-
-    CsrMatrix<T> d_psi;
-    std::vector<T> dots_r(static_cast<std::size_t>(ri_.size()), T(0));
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      d_psi = sddmm(cache.psi_loc.with_values(T(1)), g_r, cache.hp_b);
-      for (index_t i = 0; i < cache.psi_loc.rows(); ++i) {
-        T acc = T(0);
-        for (index_t e = cache.psi_loc.row_begin(i); e < cache.psi_loc.row_end(i); ++e) {
-          acc += cache.psi_loc.val_at(e) * d_psi.val_at(e);
-        }
-        dots_r[static_cast<std::size_t>(i)] = acc;
-      }
-    }
-    // The softmax Jacobian's per-row dot spans the whole grid row.
-    row_comm_.allreduce_sum(std::span<T>(dots_r));
-
-    std::vector<T> ds1_r, ds2_b;
-    DenseMatrix<T> dhp_b;
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      CsrMatrix<T> d_c = d_psi;
-      auto v = d_c.vals_mutable();
-      const auto pre = cache.scores_pre_loc.vals();
-      const T slope = layer.attention_slope();
-      for (index_t i = 0; i < d_c.rows(); ++i) {
-        const T dot = dots_r[static_cast<std::size_t>(i)];
-        for (index_t e = d_c.row_begin(i); e < d_c.row_end(i); ++e) {
-          const T de = cache.psi_loc.val_at(e) * (d_psi.val_at(e) - dot);
-          const T c = pre[static_cast<std::size_t>(e)];
-          v[static_cast<std::size_t>(e)] =
-              de * a_loc_.val_at(e) * (c > T(0) ? T(1) : slope);
-        }
-      }
-      ds1_r = sparse_row_sums(d_c);
-      ds2_b = sparse_col_sums(d_c);
-      dhp_b = spmm(cache.psi_loc.transposed(), g_r);
-    }
-    row_comm_.allreduce_sum(std::span<T>(ds1_r));
-    col_comm_.allreduce_sum(std::span<T>(ds2_b));
-    col_comm_.allreduce_sum(dhp_b.flat());
-    const std::vector<T> ds1_b = partner_exchange_vec(ds1_r, cj_.size());
-
-    {
-      comm::ComputeRegion t(this->world_.stats());
-      add_outer_inplace(dhp_b, std::span<const T>(ds1_b), a1);
-      add_outer_inplace(dhp_b, std::span<const T>(ds2_b), a2);
-    }
-
-    // Parameter gradients: layout-B contributions are replicated across grid
-    // rows, so only grid row 0 contributes before the global allreduce.
-    DenseMatrix<T> dw(w.rows(), w.cols(), T(0));
-    std::vector<T> da(static_cast<std::size_t>(2 * k_out), T(0));
-    if (gi_ == 0) {
-      comm::ComputeRegion t(this->world_.stats());
-      dw = matmul_tn(cache.h_b, dhp_b);
-      const std::vector<T> da1 = matvec_tn(cache.hp_b, std::span<const T>(ds1_b));
-      const std::vector<T> da2 = matvec_tn(cache.hp_b, std::span<const T>(ds2_b));
-      std::copy(da1.begin(), da1.end(), da.begin());
-      std::copy(da2.begin(), da2.end(), da.begin() + k_out);
-    }
-    this->world_.allreduce_sum(dw.flat());
-    this->world_.allreduce_sum(std::span<T>(da));
-    grads.d_w = std::move(dw);
-    grads.d_a = std::move(da);
-
-    comm::ComputeRegion t(this->world_.stats());
-    return matmul_nt(dhp_b, w);
-  }
-
-  // dW = sum_i (PH)_Ri^T G_Ri: layout-R contributions are replicated across
-  // grid columns, so only grid column 0 contributes, then allreduce.
-  DenseMatrix<T> weight_grad_r(const DenseMatrix<T>& ph_r, const DenseMatrix<T>& g_r) {
-    DenseMatrix<T> dw(ph_r.cols(), g_r.cols(), T(0));
-    if (gj_ == 0) {
-      comm::ComputeRegion t(this->world_.stats());
-      dw = matmul_tn(ph_r, g_r);
-    }
-    this->world_.allreduce_sum(dw.flat());
-    return dw;
-  }
-
+  comm::Communicator& world_;
+  index_t n_;
   ProcessGrid grid_;
   int gi_, gj_;
   comm::Communicator row_comm_, col_comm_;
@@ -506,5 +160,8 @@ class DistGnnEngine
   CsrMatrix<T> a_loc_;
   CsrMatrix<T> a_loc_t_;
 };
+
+template <typename T>
+using DistGnnEngine = BlockEngine<T, Layout1_5D<T>>;
 
 }  // namespace agnn::dist

@@ -27,9 +27,10 @@
 // r = c = sqrt(p) (d = 1), the classic 2D SpMM bound; dist/volume_model.hpp
 // carries the exact per-rank accounting for the crossover sweeps.
 //
-// The step plumbing (layer loop, loss, gradient chaining) lives in the
-// policy-parameterized EngineCoreBase; this file holds only the SUMMA layer
-// math and layout exchanges.
+// The step plumbing lives in EngineCoreBase and the per-model layer math in
+// BlockLayer (dist/block_layer.hpp); this file holds only the SUMMA layout:
+// its grid, its layout verbs, and the local Psi-block build + SpMM, which
+// run as the pipelined panel stages.
 #pragma once
 
 #include <algorithm>
@@ -37,51 +38,26 @@
 #include <optional>
 #include <vector>
 
+#include "dist/block_layer.hpp"
 #include "dist/dist_policy.hpp"
-#include "dist/engine_core.hpp"
 #include "graph/graph.hpp"
 
 namespace agnn::dist {
 
-// Per-layer intermediates cached by the SUMMA forward pass.
 template <typename T>
-struct SummaLayerCache {
-  DenseMatrix<T> h_v;         // H^l rows V_ij (the layer input)
-  DenseMatrix<T> h_c;         // H^l rows C_j^l (panel-broadcast; VA/AGNN)
-  DenseMatrix<T> h_r;         // H^l rows R_i (gathered; GIN/VA/AGNN)
-  DenseMatrix<T> z_v;         // Z^l rows V_ij
-  CsrMatrix<T> psi_loc;       // Psi block (i, (j, l))
-  CsrMatrix<T> cos_loc;       // AGNN: cosine block (Psi before A-weighting)
-  DenseMatrix<T> ph_r;        // (Psi H)_Ri; for GIN the full X = (A+(1+e)I)H
-  // GIN:
-  DenseMatrix<T> mlp_pre_r;     // (X W)_Ri pre-activation
-  DenseMatrix<T> mlp_hidden_r;  // sigma_mlp(X W)_Ri
-  // GAT:
-  DenseMatrix<T> hp_v;          // H' = H W rows V_ij
-  DenseMatrix<T> hp_c;          // H' rows C_j^l
-  CsrMatrix<T> scores_pre_loc;  // C block (pre-LeakyReLU)
-  std::vector<T> s1_r, s2_c;
-};
-
-template <typename T>
-class DistSummaEngine
-    : public EngineCoreBase<T, SummaLayerCache<T>, DistSummaEngine<T>> {
-  using Base = EngineCoreBase<T, SummaLayerCache<T>, DistSummaEngine<T>>;
-  friend Base;
-
+class SummaLayout {
  public:
-  using LayerCache = SummaLayerCache<T>;
   static constexpr const char* kForwardSpan = "summa.forward";
   static constexpr const char* kTrainSpan = "summa.train_step";
+  static constexpr const char* kLayerForwardSpan = "summa.layer_forward";
+  static constexpr const char* kLayerBackwardSpan = "summa.layer_backward";
 
-  // Collective constructor: every rank passes the same global adjacency, a
-  // model replica, and the same grid shape (rows*cols*depth == p). Block
-  // extraction is local; initial data distribution is not charged, matching
-  // the paper's accounting.
-  DistSummaEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
-                  GnnModel<T>& model, const GridShape& shape)
-      : Base(world, a_global.rows(), model),
-        shape_(shape),
+  // Every rank passes the same global adjacency and the same grid shape
+  // (rows*cols*depth == p).
+  SummaLayout(comm::Communicator& world, const CsrMatrix<T>& a_global,
+              const GridShape& shape)
+      : world_(world),
+        n_(a_global.rows()),
         r_(shape.rows),
         c_(shape.cols),
         d_(shape.depth),
@@ -98,8 +74,8 @@ class DistSummaEngine
     AGNN_ASSERT(a_global.rows() == a_global.cols(), "adjacency must be square");
     AGNN_ASSERT(shape.size() == world.size(),
                 "grid shape must match the rank count");
-    ri_ = block_range(this->n_, r_, gi_);
-    cj_ = block_range(this->n_, c_, gj_);
+    ri_ = block_range(n_, r_, gi_);
+    cj_ = block_range(n_, c_, gj_);
     const BlockRange ds = block_range(cj_.size(), d_, gl_);
     cs_ = {cj_.begin + ds.begin, cj_.begin + ds.end};
     const BlockRange vs = block_range(cj_.size(), r_, gi_);
@@ -110,20 +86,54 @@ class DistSummaEngine
   }
 
   // Convenience: derive the grid from a policy (AGNN_DIST=2d / 3d routing).
-  DistSummaEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
-                  GnnModel<T>& model, DistPolicy policy = DistPolicy::k2D,
-                  int depth_hint = 0)
-      : DistSummaEngine(world, a_global, model,
-                        grid_for(policy, world.size(), depth_hint)) {}
+  SummaLayout(comm::Communicator& world, const CsrMatrix<T>& a_global,
+              DistPolicy policy = DistPolicy::k2D, int depth_hint = 0)
+      : SummaLayout(world, a_global, grid_for(policy, world.size(), depth_hint)) {}
 
-  const GridShape& shape() const { return shape_; }
-  const BlockRange& row_block() const { return ri_; }
-  const BlockRange& col_block() const { return cs_; }
-  const BlockRange& owned_block() const { return v_; }
-  const CsrMatrix<T>& local_adjacency() const { return a_loc_; }
+  comm::Communicator& world() { return world_; }
+  comm::Communicator& row_comm() { return row_comm_; }
+  const CsrMatrix<T>& a_loc() const { return a_loc_; }
+  const CsrMatrix<T>& a_loc_t() const { return a_loc_t_; }
+  BlockRange owned_block() const { return v_; }
+  index_t owned_rows() const { return v_.size(); }
+  index_t r_rows() const { return ri_.size(); }
+
+  // V blocks are replicated across depth slices, R blocks across the row
+  // family: depth 0 (and, for R, grid column 0) holds the copy that counts
+  // in sums over the global vertex set (loss, output gather, gradients).
+  bool counts_in_loss() const { return gl_ == 0; }
+  bool owns_r_copy() const { return gj_ == 0 && gl_ == 0; }
+
+  // ---- layout verbs ----------------------------------------------------------
+
+  void to_r(std::span<const T> x_o, index_t k, std::span<T> out_r) {
+    gather_rows(x_o, k, ri_, out_r);
+  }
+  void to_owned(std::span<const T> x_r, index_t k, std::span<T> out_o) {
+    scatter_rows(x_r, k, out_o);
+  }
+
+  // Sum backward contributions that land on this rank's A columns (rows
+  // C_j^l) over the column family — across grid rows (partial sums) and
+  // depth slices (disjoint C_j^l regions of C_j) at once — and slice the
+  // owned V rows of the result.
+  void reduce_cols(std::span<const T> x_c, index_t k, std::span<T> out_o) {
+    std::vector<T> full(static_cast<std::size_t>(cj_.size() * k), T(0));
+    std::copy(x_c.begin(), x_c.end(),
+              full.begin() + static_cast<std::ptrdiff_t>((cs_.begin - cj_.begin) * k));
+    colfam_comm_.allreduce_sum(std::span<T>(full));
+    const auto v0 = static_cast<std::ptrdiff_t>((v_.begin - cj_.begin) * k);
+    std::copy(full.begin() + v0, full.begin() + v0 + static_cast<std::ptrdiff_t>(out_o.size()),
+              out_o.begin());
+  }
+
+  const DenseMatrix<T>& col_operand(const DenseMatrix<T>&,
+                                    const DenseMatrix<T>& x_c) const {
+    return x_c;
+  }
 
   // Reassemble a layout-V distributed matrix into the full global matrix.
-  DenseMatrix<T> gather_output(const DenseMatrix<T>& local_v) {
+  DenseMatrix<T> gather_owned(const DenseMatrix<T>& local_v) {
     AGNN_ASSERT(local_v.rows() == v_.size(), "gather: not an owned-rows block");
     // The V blocks partition [0, n) once per depth slice; depth 0 holds one
     // copy each, and its ranks are world ranks 0..r*c-1 in (i, j) row-major
@@ -131,15 +141,15 @@ class DistSummaEngine
     // (V_ij sits inside C_j), while rank order is i-major.
     std::span<const T> contrib;
     if (gl_ == 0) contrib = local_v.flat();
-    const std::vector<T> flat = this->world_.allgatherv(contrib);
+    const std::vector<T> flat = world_.allgatherv(contrib);
     const index_t k = local_v.cols();
-    AGNN_ASSERT(static_cast<index_t>(flat.size()) == this->n_ * k,
+    AGNN_ASSERT(static_cast<index_t>(flat.size()) == n_ * k,
                 "gather: unexpected total size");
-    DenseMatrix<T> out(this->n_, k);
+    DenseMatrix<T> out(n_, k);
     std::size_t off = 0;
     for (int i2 = 0; i2 < r_; ++i2) {
       for (int j2 = 0; j2 < c_; ++j2) {
-        const BlockRange cjb = block_range(this->n_, c_, j2);
+        const BlockRange cjb = block_range(n_, c_, j2);
         const BlockRange sub = block_range(cjb.size(), r_, i2);
         const std::size_t cnt = static_cast<std::size_t>(sub.size() * k);
         std::memcpy(out.data() + (cjb.begin + sub.begin) * k, flat.data() + off,
@@ -150,17 +160,87 @@ class DistSummaEngine
     return out;
   }
 
- private:
-  // ---- engine-core policy hooks ---------------------------------------------
+  // ---- local Psi block and SpMM: the pipelined SUMMA stages -----------------
 
-  BlockRange input_block() const { return v_; }
-  // V blocks are replicated across depth slices: only depth 0 contributes to
-  // sums over the global vertex set (loss, output gather).
-  bool counts_in_loss() const { return gl_ == 0; }
-  const DenseMatrix<T>& cached_z(const SummaLayerCache<T>& c) const {
-    return c.z_v;
+  void aggregate(ModelKind kind, const DenseMatrix<T>& h_v, Workspace<T>& ws,
+                 BlockLayerCache<T>& c) {
+    c.psi_loc = a_loc_;
+    switch (kind) {
+      case ModelKind::kVA:
+        // Psi = A ⊙ (H H^T) sampled on the stage's edges, then the stage
+        // SpMM — both touch only the just-landed panel rows.
+        stage_aggregate(h_v, c, [&](index_t t) {
+          auto pv = c.psi_loc.vals_mutable();
+          for (index_t i = 0; i < a_loc_.rows(); ++i) {
+            for (index_t e = stage_begin(i, t); e < stage_begin(i, t + 1); ++e) {
+              pv[static_cast<std::size_t>(e)] =
+                  a_loc_.val_at(e) * dot_rows(c.h_r, i, c.h_c, a_loc_.col_at(e));
+            }
+          }
+        });
+        break;
+      case ModelKind::kAGNN: {
+        c.cos_loc = a_loc_;
+        auto nr = ws.acquire_vec(ri_.size());
+        auto nc = ws.acquire_vec(cs_.size());
+        inv_row_norms(c.h_r, *nr);
+        stage_aggregate(h_v, c, [&](index_t t) {
+          // Column inverse norms become available as each panel lands.
+          const index_t pb = panel_loc_[static_cast<std::size_t>(t)];
+          const index_t pe = panel_loc_[static_cast<std::size_t>(t) + 1];
+          for (index_t x = pb; x < pe; ++x) {
+            const T nx = std::sqrt(dot_rows(c.h_c, x, c.h_c, x));
+            (*nc)[static_cast<std::size_t>(x)] = nx > T(0) ? T(1) / nx : T(0);
+          }
+          auto cv = c.cos_loc.vals_mutable();
+          auto pv = c.psi_loc.vals_mutable();
+          for (index_t i = 0; i < a_loc_.rows(); ++i) {
+            const T ni = (*nr)[static_cast<std::size_t>(i)];
+            for (index_t e = stage_begin(i, t); e < stage_begin(i, t + 1); ++e) {
+              const index_t col = a_loc_.col_at(e);
+              const T cos = dot_rows(c.h_r, i, c.h_c, col) * ni *
+                            (*nc)[static_cast<std::size_t>(col)];
+              cv[static_cast<std::size_t>(e)] = cos;
+              pv[static_cast<std::size_t>(e)] = cos * a_loc_.val_at(e);
+            }
+          }
+        });
+        break;
+      }
+      default:  // GCN, GIN: plain aggregation over A
+        stage_aggregate(h_v, c, [](index_t) {});
+    }
   }
 
+  // The pipelined stages fill the raw E block; the softmax and the
+  // aggregation SpMM need the full row, so they run after the loop.
+  void gat_scores(std::span<const T> a2, T slope, BlockLayerCache<T>& c) {
+    const index_t k_out = c.hp_o.cols();
+    c.scores_pre_loc = a_loc_;
+    c.psi_loc = a_loc_;
+    c.hp_c.resize(cs_.size(), k_out);
+    c.s2_c.assign(static_cast<std::size_t>(cs_.size()), T(0));
+    pipelined_panels(c.hp_c, c.hp_o, [&](index_t t) {
+      comm::ComputeRegion cr(world_.stats());
+      AGNN_TRACE_SCOPE("summa.stage_scores", kKernel);
+      const index_t pb = panel_loc_[static_cast<std::size_t>(t)];
+      const index_t pe = panel_loc_[static_cast<std::size_t>(t) + 1];
+      for (index_t x = pb; x < pe; ++x) {
+        const T* row = c.hp_c.data() + x * k_out;
+        T acc = T(0);
+        for (index_t f = 0; f < k_out; ++f) acc += row[f] * a2[static_cast<std::size_t>(f)];
+        c.s2_c[static_cast<std::size_t>(x)] = acc;
+      }
+      auto pre = c.scores_pre_loc.vals_mutable();
+      auto ev = c.psi_loc.vals_mutable();
+      for (index_t i = 0; i < a_loc_.rows(); ++i) {
+        gat_edge_scores(a_loc_, stage_begin(i, t), stage_begin(i, t + 1),
+                        c.s1_r[static_cast<std::size_t>(i)], c.s2_c, slope, pre, ev);
+      }
+    });
+  }
+
+ private:
   // ---- SUMMA stage machinery -------------------------------------------------
 
   // Stage panels: panel t is V_tj ∩ C_j^l — the slice of this rank's A
@@ -240,6 +320,23 @@ class DistSummaEngine
     }
   }
 
+  // The pipelined blockwise SpMM of H: assemble the column rows h_c panel by
+  // panel; per stage, fill the panel's Psi entries (stage_psi(t)) and
+  // accumulate them against the just-landed rows into the R_i partial.
+  template <typename StagePsiFn>
+  void stage_aggregate(const DenseMatrix<T>& h_v, BlockLayerCache<T>& c,
+                       StagePsiFn&& stage_psi) {
+    c.h_c.resize(cs_.size(), h_v.cols());
+    c.ph_r.resize(ri_.size(), h_v.cols());
+    c.ph_r.set_zero();
+    pipelined_panels(c.h_c, h_v, [&](index_t t) {
+      comm::ComputeRegion cr(world_.stats());
+      AGNN_TRACE_SCOPE("summa.stage_spmm", kKernel);
+      stage_psi(t);
+      stage_spmm_accumulate(c.psi_loc, c.h_c, t, c.ph_r);
+    });
+  }
+
   // One SUMMA stage of the blockwise SpMM: accumulate the panel-t columns of
   // Psi against the just-landed panel rows of X into the R_i partial.
   void stage_spmm_accumulate(const CsrMatrix<T>& psi, const DenseMatrix<T>& x_c,
@@ -264,533 +361,48 @@ class DistSummaEngine
     return acc;
   }
 
-  // ---- layout exchange helpers ----------------------------------------------
+  // ---- layout exchanges ------------------------------------------------------
 
-  // Assemble rows [range.begin, range.end) of a layout-V matrix via
-  // one-sided gets from the owners in this rank's depth slice.
-  void gather_rows(const DenseMatrix<T>& x_v, const BlockRange& range,
-                   DenseMatrix<T>& out) {
-    const index_t k = x_v.cols();
-    out.resize(range.size(), k);
-    auto win = this->world_.expose(std::span<const T>(x_v.flat()));
+  // Assemble rows [range.begin, range.end) (k elements each) of a layout-V
+  // span via one-sided gets from the owners in this rank's depth slice.
+  void gather_rows(std::span<const T> x_v, index_t k, const BlockRange& range,
+                   std::span<T> out) {
+    auto win = world_.expose(x_v);
     index_t x = range.begin;
     while (x < range.end) {
-      const index_t j2 = block_index_of(this->n_, c_, x);
-      const BlockRange cjb = block_range(this->n_, c_, j2);
+      const index_t j2 = block_index_of(n_, c_, x);
+      const BlockRange cjb = block_range(n_, c_, j2);
       const index_t i2 = block_index_of(cjb.size(), r_, x - cjb.begin);
       const BlockRange sub = block_range(cjb.size(), r_, i2);
       const index_t vbeg = cjb.begin + sub.begin;
       const index_t run_end = std::min(range.end, cjb.begin + sub.end);
-      win.get(std::span<T>(out.data() + (x - range.begin) * k,
-                           static_cast<std::size_t>((run_end - x) * k)),
+      win.get(out.subspan(static_cast<std::size_t>((x - range.begin) * k),
+                          static_cast<std::size_t>((run_end - x) * k)),
               rank_of(i2, j2, gl_), static_cast<std::size_t>((x - vbeg) * k));
       x = run_end;
     }
     win.close();
   }
 
-  void gather_rows_vec(const std::vector<T>& x_v, const BlockRange& range,
-                       std::vector<T>& out) {
-    out.resize(static_cast<std::size_t>(range.size()));
-    auto win = this->world_.expose(std::span<const T>(x_v));
-    index_t x = range.begin;
-    while (x < range.end) {
-      const index_t j2 = block_index_of(this->n_, c_, x);
-      const BlockRange cjb = block_range(this->n_, c_, j2);
-      const index_t i2 = block_index_of(cjb.size(), r_, x - cjb.begin);
-      const BlockRange sub = block_range(cjb.size(), r_, i2);
-      const index_t vbeg = cjb.begin + sub.begin;
-      const index_t run_end = std::min(range.end, cjb.begin + sub.end);
-      win.get(std::span<T>(out.data() + (x - range.begin),
-                           static_cast<std::size_t>(run_end - x)),
-              rank_of(i2, j2, gl_), static_cast<std::size_t>(x - vbeg));
-      x = run_end;
-    }
-    win.close();
-  }
-
-  // Redistribute a layout-R matrix (identical across the row family) to the
+  // Redistribute a layout-R span (identical across the row family) to the
   // owned V rows; the owner picked for each run shares this rank's (j, l).
-  void scatter_rows(const DenseMatrix<T>& x_r, DenseMatrix<T>& out) {
-    const index_t k = x_r.cols();
-    out.resize(v_.size(), k);
-    auto win = this->world_.expose(std::span<const T>(x_r.flat()));
+  void scatter_rows(std::span<const T> x_r, index_t k, std::span<T> out) {
+    auto win = world_.expose(x_r);
     index_t x = v_.begin;
     while (x < v_.end) {
-      const index_t i2 = block_index_of(this->n_, r_, x);
-      const BlockRange rb = block_range(this->n_, r_, i2);
+      const index_t i2 = block_index_of(n_, r_, x);
+      const BlockRange rb = block_range(n_, r_, i2);
       const index_t run_end = std::min(v_.end, rb.end);
-      win.get(std::span<T>(out.data() + (x - v_.begin) * k,
-                           static_cast<std::size_t>((run_end - x) * k)),
+      win.get(out.subspan(static_cast<std::size_t>((x - v_.begin) * k),
+                          static_cast<std::size_t>((run_end - x) * k)),
               rank_of(i2, gj_, gl_), static_cast<std::size_t>((x - rb.begin) * k));
       x = run_end;
     }
     win.close();
   }
 
-  void scatter_rows_vec(const std::vector<T>& x_r, std::vector<T>& out) {
-    out.resize(static_cast<std::size_t>(v_.size()));
-    auto win = this->world_.expose(std::span<const T>(x_r));
-    index_t x = v_.begin;
-    while (x < v_.end) {
-      const index_t i2 = block_index_of(this->n_, r_, x);
-      const BlockRange rb = block_range(this->n_, r_, i2);
-      const index_t run_end = std::min(v_.end, rb.end);
-      win.get(std::span<T>(out.data() + (x - v_.begin),
-                           static_cast<std::size_t>(run_end - x)),
-              rank_of(i2, gj_, gl_), static_cast<std::size_t>(x - rb.begin));
-      x = run_end;
-    }
-    win.close();
-  }
-
-  // Sum backward contributions that land on this rank's A columns (rows
-  // C_j^l) over the column family — across grid rows (partial sums) and
-  // depth slices (disjoint C_j^l regions of C_j) at once — and slice the
-  // owned V rows of the result.
-  DenseMatrix<T> reduce_colfam(const DenseMatrix<T>& x_cs) {
-    const index_t k = x_cs.cols();
-    DenseMatrix<T> full(cj_.size(), k, T(0));
-    if (x_cs.rows() > 0) {
-      std::memcpy(full.data() + (cs_.begin - cj_.begin) * k, x_cs.data(),
-                  static_cast<std::size_t>(x_cs.rows() * k) * sizeof(T));
-    }
-    colfam_comm_.allreduce_sum(full.flat());
-    return full.slice_rows(v_.begin - cj_.begin, v_.end - cj_.begin);
-  }
-
-  std::vector<T> reduce_colfam_vec(const std::vector<T>& x_cs) {
-    std::vector<T> full(static_cast<std::size_t>(cj_.size()), T(0));
-    std::copy(x_cs.begin(), x_cs.end(),
-              full.begin() + static_cast<std::size_t>(cs_.begin - cj_.begin));
-    colfam_comm_.allreduce_sum(std::span<T>(full));
-    return {full.begin() + static_cast<std::size_t>(v_.begin - cj_.begin),
-            full.begin() + static_cast<std::size_t>(v_.end - cj_.begin)};
-  }
-
-  // ---- per-layer forward -----------------------------------------------------
-
-  DenseMatrix<T> layer_forward(const Layer<T>& layer, const DenseMatrix<T>& h_v,
-                               SummaLayerCache<T>* cache) {
-    AGNN_TRACE_SCOPE("summa.layer_forward", kPhase);
-    typename Base::LayerParams params = this->broadcast_params(layer);
-    const DenseMatrix<T>& w = params.w;
-    const std::vector<T>& a = params.a;
-    const DenseMatrix<T>& w2 = params.w2;
-
-    SummaLayerCache<T> scratch;
-    SummaLayerCache<T>& c = cache ? *cache : scratch;
-    const index_t kin = h_v.cols();
-
-    switch (layer.kind()) {
-      case ModelKind::kGCN: {
-        c.psi_loc = a_loc_;
-        c.h_c.resize(cs_.size(), kin);
-        c.ph_r.resize(ri_.size(), kin);
-        c.ph_r.set_zero();
-        pipelined_panels(c.h_c, h_v, [&](index_t t) {
-          comm::ComputeRegion cr(this->world_.stats());
-          AGNN_TRACE_SCOPE("summa.stage_spmm", kKernel);
-          stage_spmm_accumulate(c.psi_loc, c.h_c, t, c.ph_r);
-        });
-        break;
-      }
-      case ModelKind::kGIN: {
-        // Plain-sum aggregation over A; the (1+eps) self term needs the
-        // R_i rows of H, gathered from the owners.
-        gather_rows(h_v, ri_, c.h_r);
-        c.psi_loc = a_loc_;
-        c.h_c.resize(cs_.size(), kin);
-        c.ph_r.resize(ri_.size(), kin);
-        c.ph_r.set_zero();
-        pipelined_panels(c.h_c, h_v, [&](index_t t) {
-          comm::ComputeRegion cr(this->world_.stats());
-          AGNN_TRACE_SCOPE("summa.stage_spmm", kKernel);
-          stage_spmm_accumulate(c.psi_loc, c.h_c, t, c.ph_r);
-        });
-        break;
-      }
-      case ModelKind::kVA: {
-        gather_rows(h_v, ri_, c.h_r);
-        c.psi_loc = a_loc_;
-        c.h_c.resize(cs_.size(), kin);
-        c.ph_r.resize(ri_.size(), kin);
-        c.ph_r.set_zero();
-        pipelined_panels(c.h_c, h_v, [&](index_t t) {
-          comm::ComputeRegion cr(this->world_.stats());
-          AGNN_TRACE_SCOPE("summa.stage_spmm", kKernel);
-          // Psi = A ⊙ (H H^T) sampled on the stage's edges, then the
-          // stage SpMM — both touch only the just-landed panel rows.
-          auto pv = c.psi_loc.vals_mutable();
-          for (index_t i = 0; i < a_loc_.rows(); ++i) {
-            for (index_t e = stage_begin(i, t); e < stage_begin(i, t + 1); ++e) {
-              pv[static_cast<std::size_t>(e)] =
-                  a_loc_.val_at(e) *
-                  dot_rows(c.h_r, i, c.h_c, a_loc_.col_at(e));
-            }
-          }
-          stage_spmm_accumulate(c.psi_loc, c.h_c, t, c.ph_r);
-        });
-        break;
-      }
-      case ModelKind::kAGNN: {
-        gather_rows(h_v, ri_, c.h_r);
-        c.psi_loc = a_loc_;
-        c.cos_loc = a_loc_;
-        c.h_c.resize(cs_.size(), kin);
-        c.ph_r.resize(ri_.size(), kin);
-        c.ph_r.set_zero();
-        auto nr = this->ws_.acquire_vec(ri_.size());
-        auto nc = this->ws_.acquire_vec(cs_.size());
-        inv_row_norms(c.h_r, *nr);
-        pipelined_panels(c.h_c, h_v, [&](index_t t) {
-          comm::ComputeRegion cr(this->world_.stats());
-          AGNN_TRACE_SCOPE("summa.stage_spmm", kKernel);
-          // Column inverse norms become available as each panel lands.
-          const index_t pb = panel_loc_[static_cast<std::size_t>(t)];
-          const index_t pe = panel_loc_[static_cast<std::size_t>(t) + 1];
-          for (index_t x = pb; x < pe; ++x) {
-            const T nx = std::sqrt(dot_rows(c.h_c, x, c.h_c, x));
-            (*nc)[static_cast<std::size_t>(x)] = nx > T(0) ? T(1) / nx : T(0);
-          }
-          auto cv = c.cos_loc.vals_mutable();
-          auto pv = c.psi_loc.vals_mutable();
-          for (index_t i = 0; i < a_loc_.rows(); ++i) {
-            const T ni = (*nr)[static_cast<std::size_t>(i)];
-            for (index_t e = stage_begin(i, t); e < stage_begin(i, t + 1); ++e) {
-              const index_t col = a_loc_.col_at(e);
-              const T cos = dot_rows(c.h_r, i, c.h_c, col) * ni *
-                            (*nc)[static_cast<std::size_t>(col)];
-              cv[static_cast<std::size_t>(e)] = cos;
-              pv[static_cast<std::size_t>(e)] = cos * a_loc_.val_at(e);
-            }
-          }
-          stage_spmm_accumulate(c.psi_loc, c.h_c, t, c.ph_r);
-        });
-        break;
-      }
-      case ModelKind::kGAT: {
-        const index_t k_out = layer.out_features();
-        const std::span<const T> a_all(a);
-        const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_out));
-        const auto a2 = a_all.subspan(static_cast<std::size_t>(k_out));
-        std::vector<T> s1_v;
-        {
-          comm::ComputeRegion cr(this->world_.stats());
-          matmul(h_v, w, c.hp_v);
-          matvec(c.hp_v, a1, s1_v);
-        }
-        gather_rows_vec(s1_v, ri_, c.s1_r);
-        c.scores_pre_loc = a_loc_;
-        c.psi_loc = a_loc_;
-        c.hp_c.resize(cs_.size(), k_out);
-        c.s2_c.assign(static_cast<std::size_t>(cs_.size()), T(0));
-        const T slope = layer.attention_slope();
-        // The pipelined stages fill the raw E block; the softmax and the
-        // aggregation SpMM need the full row, so they run after the loop.
-        pipelined_panels(c.hp_c, c.hp_v, [&](index_t t) {
-          comm::ComputeRegion cr(this->world_.stats());
-          AGNN_TRACE_SCOPE("summa.stage_scores", kKernel);
-          const index_t pb = panel_loc_[static_cast<std::size_t>(t)];
-          const index_t pe = panel_loc_[static_cast<std::size_t>(t) + 1];
-          for (index_t x = pb; x < pe; ++x) {
-            const T* row = c.hp_c.data() + x * k_out;
-            T acc = T(0);
-            for (index_t f = 0; f < k_out; ++f) acc += row[f] * a2[static_cast<std::size_t>(f)];
-            c.s2_c[static_cast<std::size_t>(x)] = acc;
-          }
-          auto pre = c.scores_pre_loc.vals_mutable();
-          auto ev = c.psi_loc.vals_mutable();
-          for (index_t i = 0; i < a_loc_.rows(); ++i) {
-            const T s1i = c.s1_r[static_cast<std::size_t>(i)];
-            for (index_t e = stage_begin(i, t); e < stage_begin(i, t + 1); ++e) {
-              const T cv = s1i + c.s2_c[static_cast<std::size_t>(a_loc_.col_at(e))];
-              pre[static_cast<std::size_t>(e)] = cv;
-              ev[static_cast<std::size_t>(e)] =
-                  a_loc_.val_at(e) * (cv > T(0) ? cv : slope * cv);
-            }
-          }
-        });
-        dist_row_softmax_inplace(c.psi_loc, row_comm_, this->ws_);
-        {
-          comm::ComputeRegion cr(this->world_.stats());
-          spmm(c.psi_loc, c.hp_c, c.ph_r);
-        }
-        break;
-      }
-    }
-
-    // Partial sums from every (column, depth) block of the grid row reduce
-    // to the full (Psi H)_Ri on each member of the row family.
-    row_comm_.allreduce_sum(c.ph_r.flat());
-    const DenseMatrix<T>* z_r = &c.ph_r;
-    auto z_r_h = this->ws_.acquire_dense(ri_.size(), layer.out_features());
-    {
-      comm::ComputeRegion cr(this->world_.stats());
-      switch (layer.kind()) {
-        case ModelKind::kGAT:
-          break;
-        case ModelKind::kGIN:
-          // X = (A H) + (1+eps) H, then the per-row MLP.
-          axpy(T(1) + layer.gin_epsilon(), c.h_r, c.ph_r);
-          matmul(c.ph_r, w, c.mlp_pre_r);
-          activate(layer.mlp_activation(), c.mlp_pre_r, c.mlp_hidden_r, T(0.01));
-          matmul(c.mlp_hidden_r, w2, *z_r_h);
-          z_r = &*z_r_h;
-          break;
-        default:
-          matmul(c.ph_r, w, *z_r_h);
-          z_r = &*z_r_h;
-      }
-    }
-    // Redistribute Z from layout R to the owned V rows for the next layer.
-    scatter_rows(*z_r, c.z_v);
-    DenseMatrix<T> h_out;
-    {
-      comm::ComputeRegion cr(this->world_.stats());
-      activate(layer.activation(), c.z_v, h_out, T(0.01));
-    }
-    if (cache) c.h_v = h_v;
-    return h_out;
-  }
-
-  // ---- per-layer backward ----------------------------------------------------
-
-  DenseMatrix<T> layer_backward(const Layer<T>& layer,
-                                const SummaLayerCache<T>& cache,
-                                const DenseMatrix<T>& g_v, LayerGrads<T>& grads) {
-    AGNN_TRACE_SCOPE("summa.layer_backward", kPhase);
-    const DenseMatrix<T>& w = layer.weights();
-    switch (layer.kind()) {
-      case ModelKind::kGCN: return backward_gcn(layer, cache, g_v, grads, w);
-      case ModelKind::kVA: return backward_va(layer, cache, g_v, grads, w);
-      case ModelKind::kAGNN: return backward_agnn(layer, cache, g_v, grads, w);
-      case ModelKind::kGAT: return backward_gat(layer, cache, g_v, grads, w);
-      case ModelKind::kGIN: return backward_gin(layer, cache, g_v, grads, w);
-    }
-    AGNN_ASSERT(false, "unknown model kind");
-    return {};
-  }
-
-  DenseMatrix<T> backward_gcn(const Layer<T>&, const SummaLayerCache<T>& cache,
-                              const DenseMatrix<T>& g_v, LayerGrads<T>& grads,
-                              const DenseMatrix<T>& w) {
-    DenseMatrix<T> g_r;
-    gather_rows(g_v, ri_, g_r);
-    grads.d_w = weight_grad_r(cache.ph_r, g_r);
-    DenseMatrix<T> gamma_cs;
-    {
-      comm::ComputeRegion cr(this->world_.stats());
-      const DenseMatrix<T> m_r = matmul_nt(g_r, w);
-      gamma_cs = spmm(a_loc_t_, m_r);
-    }
-    return reduce_colfam(gamma_cs);
-  }
-
-  // GIN: dW2 = hidden^T G, dPre = (G W2^T) ⊙ sigma_mlp'(pre),
-  // dW = X^T dPre, dX = dPre W^T, Gamma = A^T dX + (1+eps) dX.
-  DenseMatrix<T> backward_gin(const Layer<T>& layer,
-                              const SummaLayerCache<T>& cache,
-                              const DenseMatrix<T>& g_v, LayerGrads<T>& grads,
-                              const DenseMatrix<T>& w) {
-    DenseMatrix<T> g_r;
-    gather_rows(g_v, ri_, g_r);
-    grads.d_w2 = weight_grad_r(cache.mlp_hidden_r, g_r);
-    DenseMatrix<T> dx_r, gamma_cs;
-    {
-      comm::ComputeRegion cr(this->world_.stats());
-      const DenseMatrix<T> d_hidden = matmul_nt(g_r, layer.weights2());
-      const DenseMatrix<T> d_pre = activation_backward(
-          layer.mlp_activation(), cache.mlp_pre_r, d_hidden, T(0.01));
-      // dW from the single-copy corner of the R replication group.
-      DenseMatrix<T> dw(w.rows(), w.cols(), T(0));
-      if (gj_ == 0 && gl_ == 0) dw = matmul_tn(cache.ph_r, d_pre);
-      grads.d_w = std::move(dw);
-      dx_r = matmul_nt(d_pre, w);
-      gamma_cs = spmm(a_loc_t_, dx_r);
-    }
-    this->world_.allreduce_sum(grads.d_w.flat());
-    DenseMatrix<T> gamma_v = reduce_colfam(gamma_cs);
-    DenseMatrix<T> dx_v;
-    scatter_rows(dx_r, dx_v);
-    comm::ComputeRegion cr(this->world_.stats());
-    axpy(T(1) + layer.gin_epsilon(), dx_v, gamma_v);
-    return gamma_v;
-  }
-
-  DenseMatrix<T> backward_va(const Layer<T>&, const SummaLayerCache<T>& cache,
-                             const DenseMatrix<T>& g_v, LayerGrads<T>& grads,
-                             const DenseMatrix<T>& w) {
-    DenseMatrix<T> g_r;
-    gather_rows(g_v, ri_, g_r);
-    grads.d_w = weight_grad_r(cache.ph_r, g_r);
-    DenseMatrix<T> nh_r, gamma2_cs;
-    {
-      comm::ComputeRegion cr(this->world_.stats());
-      // N block = A ⊙ (M H^T): the backward SDDMM on the stationary pattern.
-      const DenseMatrix<T> m_r = matmul_nt(g_r, w);
-      const CsrMatrix<T> n_loc = sddmm(a_loc_, m_r, cache.h_c);
-      nh_r = spmm(n_loc, cache.h_c);
-      gamma2_cs = spmm(n_loc.transposed(), cache.h_r);
-      spmm_accumulate(cache.psi_loc.transposed(), m_r, gamma2_cs);
-    }
-    row_comm_.allreduce_sum(nh_r.flat());
-    DenseMatrix<T> gamma_v = reduce_colfam(gamma2_cs);
-    DenseMatrix<T> nh_v;
-    scatter_rows(nh_r, nh_v);
-    comm::ComputeRegion cr(this->world_.stats());
-    axpy(T(1), nh_v, gamma_v);
-    return gamma_v;
-  }
-
-  DenseMatrix<T> backward_agnn(const Layer<T>&, const SummaLayerCache<T>& cache,
-                               const DenseMatrix<T>& g_v, LayerGrads<T>& grads,
-                               const DenseMatrix<T>& w) {
-    DenseMatrix<T> g_r;
-    gather_rows(g_v, ri_, g_r);
-    grads.d_w = weight_grad_r(cache.ph_r, g_r);
-
-    DenseMatrix<T> dh_r, dth_cs, gamma_agg_cs;
-    std::vector<T> rs_r, cs_cs;
-    {
-      comm::ComputeRegion cr(this->world_.stats());
-      const DenseMatrix<T> m_r = matmul_nt(g_r, w);
-      const CsrMatrix<T> d_loc = sddmm(a_loc_, m_r, cache.h_c);
-      const CsrMatrix<T> dc = hadamard_same_pattern(d_loc, cache.cos_loc);
-      rs_r = sparse_row_sums(dc);
-      cs_cs = sparse_col_sums(dc);
-      dh_r = spmm(d_loc, unit_rows(cache.h_c));
-      dth_cs = spmm(d_loc.transposed(), unit_rows(cache.h_r));
-      gamma_agg_cs = spmm(cache.psi_loc.transposed(), m_r);
-    }
-    row_comm_.allreduce_sum(std::span<T>(rs_r));
-    row_comm_.allreduce_sum(dh_r.flat());
-    const std::vector<T> cs_v = reduce_colfam_vec(cs_cs);
-    const DenseMatrix<T> dth_v = reduce_colfam(dth_cs);
-    const DenseMatrix<T> gamma_agg_v = reduce_colfam(gamma_agg_cs);
-    std::vector<T> rs_v;
-    scatter_rows_vec(rs_r, rs_v);
-    DenseMatrix<T> sum_v;
-    scatter_rows(dh_r, sum_v);
-
-    comm::ComputeRegion cr(this->world_.stats());
-    axpy(T(1), dth_v, sum_v);
-    const std::vector<T> norms_v = row_l2_norms(cache.h_v);
-    const DenseMatrix<T> hhat_v = unit_rows(cache.h_v);
-    const index_t k = sum_v.cols();
-    for (index_t i = 0; i < sum_v.rows(); ++i) {
-      const T ni = norms_v[static_cast<std::size_t>(i)];
-      T* row = sum_v.data() + i * k;
-      if (ni <= T(0)) {
-        for (index_t j = 0; j < k; ++j) row[j] = T(0);
-        continue;
-      }
-      const T coef =
-          rs_v[static_cast<std::size_t>(i)] + cs_v[static_cast<std::size_t>(i)];
-      const T* hh = hhat_v.data() + i * k;
-      const T inv = T(1) / ni;
-      for (index_t j = 0; j < k; ++j) row[j] = (row[j] - coef * hh[j]) * inv;
-    }
-    axpy(T(1), gamma_agg_v, sum_v);
-    return sum_v;
-  }
-
-  DenseMatrix<T> backward_gat(const Layer<T>& layer,
-                              const SummaLayerCache<T>& cache,
-                              const DenseMatrix<T>& g_v, LayerGrads<T>& grads,
-                              const DenseMatrix<T>& w) {
-    DenseMatrix<T> g_r;
-    gather_rows(g_v, ri_, g_r);
-    const index_t k_out = layer.out_features();
-    const std::span<const T> a_all(layer.attention_params());
-    const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_out));
-    const auto a2 = a_all.subspan(static_cast<std::size_t>(k_out));
-
-    CsrMatrix<T> d_psi;
-    std::vector<T> dots_r(static_cast<std::size_t>(ri_.size()), T(0));
-    {
-      comm::ComputeRegion cr(this->world_.stats());
-      d_psi = sddmm(cache.psi_loc.with_values(T(1)), g_r, cache.hp_c);
-      for (index_t i = 0; i < cache.psi_loc.rows(); ++i) {
-        T acc = T(0);
-        for (index_t e = cache.psi_loc.row_begin(i);
-             e < cache.psi_loc.row_end(i); ++e) {
-          acc += cache.psi_loc.val_at(e) * d_psi.val_at(e);
-        }
-        dots_r[static_cast<std::size_t>(i)] = acc;
-      }
-    }
-    // The softmax Jacobian's per-row dot spans the whole row family.
-    row_comm_.allreduce_sum(std::span<T>(dots_r));
-
-    std::vector<T> ds1_r, ds2_cs;
-    DenseMatrix<T> dhp_cs;
-    {
-      comm::ComputeRegion cr(this->world_.stats());
-      CsrMatrix<T> d_c = d_psi;
-      auto v = d_c.vals_mutable();
-      const auto pre = cache.scores_pre_loc.vals();
-      const T slope = layer.attention_slope();
-      for (index_t i = 0; i < d_c.rows(); ++i) {
-        const T dot = dots_r[static_cast<std::size_t>(i)];
-        for (index_t e = d_c.row_begin(i); e < d_c.row_end(i); ++e) {
-          const T de = cache.psi_loc.val_at(e) * (d_psi.val_at(e) - dot);
-          const T c = pre[static_cast<std::size_t>(e)];
-          v[static_cast<std::size_t>(e)] =
-              de * a_loc_.val_at(e) * (c > T(0) ? T(1) : slope);
-        }
-      }
-      ds1_r = sparse_row_sums(d_c);
-      ds2_cs = sparse_col_sums(d_c);
-      dhp_cs = spmm(cache.psi_loc.transposed(), g_r);
-    }
-    row_comm_.allreduce_sum(std::span<T>(ds1_r));
-    const std::vector<T> ds2_v = reduce_colfam_vec(ds2_cs);
-    DenseMatrix<T> dhp_v = reduce_colfam(dhp_cs);
-    std::vector<T> ds1_v;
-    scatter_rows_vec(ds1_r, ds1_v);
-
-    {
-      comm::ComputeRegion cr(this->world_.stats());
-      add_outer_inplace(dhp_v, std::span<const T>(ds1_v), a1);
-      add_outer_inplace(dhp_v, std::span<const T>(ds2_v), a2);
-    }
-
-    // Parameter gradients: layout-V contributions are replicated across
-    // depth, so only depth 0 contributes before the global allreduce.
-    DenseMatrix<T> dw(w.rows(), w.cols(), T(0));
-    std::vector<T> da(static_cast<std::size_t>(2 * k_out), T(0));
-    if (gl_ == 0) {
-      comm::ComputeRegion cr(this->world_.stats());
-      dw = matmul_tn(cache.h_v, dhp_v);
-      const std::vector<T> da1 = matvec_tn(cache.hp_v, std::span<const T>(ds1_v));
-      const std::vector<T> da2 = matvec_tn(cache.hp_v, std::span<const T>(ds2_v));
-      std::copy(da1.begin(), da1.end(), da.begin());
-      std::copy(da2.begin(), da2.end(), da.begin() + k_out);
-    }
-    this->world_.allreduce_sum(dw.flat());
-    this->world_.allreduce_sum(std::span<T>(da));
-    grads.d_w = std::move(dw);
-    grads.d_a = std::move(da);
-
-    comm::ComputeRegion cr(this->world_.stats());
-    return matmul_nt(dhp_v, w);
-  }
-
-  // dW = sum_i (PH)_Ri^T G_Ri: layout-R values are identical across the row
-  // family, so only its (j=0, l=0) member contributes, then allreduce.
-  DenseMatrix<T> weight_grad_r(const DenseMatrix<T>& x_r,
-                               const DenseMatrix<T>& g_r) {
-    DenseMatrix<T> dw(x_r.cols(), g_r.cols(), T(0));
-    if (gj_ == 0 && gl_ == 0) {
-      comm::ComputeRegion cr(this->world_.stats());
-      dw = matmul_tn(x_r, g_r);
-    }
-    this->world_.allreduce_sum(dw.flat());
-    return dw;
-  }
-
-  GridShape shape_;
+  comm::Communicator& world_;
+  index_t n_;
   int r_, c_, d_;
   int gl_, gi_, gj_;
   comm::Communicator row_comm_, colfam_comm_, slice_comm_;
@@ -803,5 +415,8 @@ class DistSummaEngine
   std::vector<index_t> panel_loc_;  // C_j^l-relative panel begins, size r+1
   std::vector<index_t> stage_ptr_;  // per-row per-stage edge offsets
 };
+
+template <typename T>
+using DistSummaEngine = BlockEngine<T, SummaLayout<T>>;
 
 }  // namespace agnn::dist

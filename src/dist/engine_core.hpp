@@ -1,17 +1,18 @@
 // The policy-parameterized distributed engine core.
 //
 // Every member of the distribution family (1D row blocks, 1.5D square grid,
-// 2D SUMMA, 3D depth-replicated — see dist/dist_policy.hpp) shares the same
-// outer structure: slice the replicated input to the rank's block, run the
-// layer loop, compute the loss on owned rows against the globally-reduced
-// active count, allreduce the scalar loss, chain activation backward through
-// the cached pre-activations, and apply globally-identical gradients. Only
-// the *per-layer* math (which blocks move, which sub-communicator reduces
-// what) differs per policy.
+// 2D SUMMA, 3D depth-replicated — see dist/dist_policy.hpp) and the
+// multi-head GAT engine share the same outer structure: slice the replicated
+// input to the rank's block, run the layer loop, compute the loss on owned
+// rows against the globally-reduced active count, allreduce the scalar loss,
+// chain activation backward through the cached pre-activations, and apply
+// globally-identical gradients.
 //
-// `EngineCoreBase<T, Cache, Derived>` is that shared outer structure as a
-// CRTP base. A policy engine derives from it and provides:
+// `EngineCoreBase<T, Model, Cache, Derived>` is that shared outer structure
+// as a CRTP base over a model type (GnnModel or MultiHeadGat). An engine
+// derives from it and provides:
 //
+//   using Grads                             the model's per-layer gradients
 //   BlockRange input_block()                rows of the rank's H block
 //   bool counts_in_loss()                   does this rank's block contribute
 //                                           to the loss sum (false on ranks
@@ -22,8 +23,11 @@
 //   DenseMatrix<T> gather_output(h)         reassemble the global matrix
 //   static constexpr kForwardSpan/kTrainSpan  trace span names
 //
-// The free helpers at the bottom (distributed row softmax, row-normalized
-// copies) are the per-layer building blocks shared by more than one policy.
+// The per-layer math itself lives elsewhere: dist/block_layer.hpp for the
+// block-distributed (1.5D, 2D, 3D, multi-head) engines, dist_1d_engine.hpp
+// for the 1D engine. The free helpers at the bottom (parameter broadcast,
+// distributed row softmax, row-normalized copies) are the building blocks
+// both use.
 #pragma once
 
 #include <vector>
@@ -39,7 +43,7 @@
 
 namespace agnn::dist {
 
-template <typename T, typename Cache, typename Derived>
+template <typename T, typename Model, typename Cache, typename Derived>
 class EngineCoreBase {
  public:
   // ---- forward -------------------------------------------------------------
@@ -80,6 +84,12 @@ class EngineCoreBase {
                         std::span<const index_t> labels, Optimizer<T>& opt,
                         std::span<const std::uint8_t> mask = {}) {
     const obs::SpanScope span(Derived::kTrainSpan, obs::SpanCategory::kPhase);
+    // Every rank slices its own rows out of the replicated labels and mask,
+    // so a short one would be read past its end on the last rank.
+    AGNN_ASSERT(static_cast<index_t>(labels.size()) == n_,
+                "train_step: labels must hold one entry per vertex");
+    AGNN_ASSERT(mask.empty() || static_cast<index_t>(mask.size()) == n_,
+                "train_step: mask must be empty or hold one entry per vertex");
     std::vector<Cache>& caches = caches_;  // persistent slots
     const DenseMatrix<T> h = forward(x_global, &caches);
 
@@ -107,7 +117,7 @@ class EngineCoreBase {
     DenseMatrix<T> g = activation_backward(
         last.activation(), derived().cached_z(caches.back()), loss.grad);
 
-    std::vector<LayerGrads<T>> grads(model_.num_layers());
+    std::vector<typename Derived::Grads> grads(model_.num_layers());
     for (std::size_t l = model_.num_layers(); l-- > 0;) {
       DenseMatrix<T> gamma =
           derived().layer_backward(model_.layer(l), caches[l], g, grads[l]);
@@ -131,37 +141,48 @@ class EngineCoreBase {
   comm::Communicator& world() { return world_; }
 
  protected:
-  EngineCoreBase(comm::Communicator& world, index_t n, GnnModel<T>& model)
+  EngineCoreBase(comm::Communicator& world, index_t n, Model& model)
       : world_(world), n_(n), model_(model) {}
 
   Derived& derived() { return static_cast<Derived&>(*this); }
 
-  // Model parameters are replicated: broadcast from rank 0 (values are
-  // already identical; this charges the O(k^2) parameter-movement term).
-  struct LayerParams {
-    DenseMatrix<T> w;
-    std::vector<T> a;
-    DenseMatrix<T> w2;
-  };
-  LayerParams broadcast_params(const Layer<T>& layer) {
-    LayerParams p;
-    p.w = layer.weights();
-    world_.broadcast(p.w.flat(), 0);
-    p.a = layer.attention_params();
-    if (!p.a.empty()) world_.broadcast(std::span<T>(p.a), 0);
-    p.w2 = layer.weights2();
-    if (!p.w2.empty()) world_.broadcast(p.w2.flat(), 0);
-    return p;
-  }
-
   comm::Communicator& world_;
   index_t n_;
-  GnnModel<T>& model_;
+  Model& model_;
   Workspace<T> ws_;              // per-rank scratch pool
   std::vector<Cache> caches_;    // persistent training caches
 };
 
 // ---- shared per-layer building blocks --------------------------------------
+
+// Model parameters are replicated: broadcast from rank 0 (values are
+// already identical; this charges the O(k^2) parameter-movement term).
+// Empty `a` / `w2` (the kinds without them) are not sent.
+template <typename T>
+struct LayerParams {
+  DenseMatrix<T> w;
+  std::vector<T> a;
+  DenseMatrix<T> w2;
+};
+
+template <typename T>
+LayerParams<T> broadcast_params(comm::Communicator& world,
+                                const DenseMatrix<T>& w,
+                                const std::vector<T>& a,
+                                const DenseMatrix<T>& w2 = {}) {
+  LayerParams<T> p{w, a, w2};
+  world.broadcast(p.w.flat(), 0);
+  if (!p.a.empty()) world.broadcast(std::span<T>(p.a), 0);
+  if (!p.w2.empty()) world.broadcast(p.w2.flat(), 0);
+  return p;
+}
+
+template <typename T>
+LayerParams<T> broadcast_params(comm::Communicator& world,
+                                const Layer<T>& layer) {
+  return broadcast_params(world, layer.weights(), layer.attention_params(),
+                          layer.weights2());
+}
 
 // Distributed graph softmax: per-row max and sum span every rank holding a
 // column block of the row (the given communicator: the grid row in 1.5D, the

@@ -1,7 +1,7 @@
 // Runtime selection over the distribution-policy family.
 //
 // The four engines share the EngineCoreBase surface but are distinct types
-// (their layer caches differ). `IDistEngine` erases that so benchmarks, the
+// (their layouts and layer caches differ). `IDistEngine` erases that so benchmarks, the
 // differential harness, and examples can pick the distribution at runtime —
 // in particular from the AGNN_DIST environment knob (dist/dist_policy.hpp):
 //

@@ -462,31 +462,41 @@ TEST_F(Autotune, TunedChoiceNeverLosesToAutoByMoreThanNoise) {
   for (const auto& a : graphs) {
     const auto h = random_dense<double>(a.rows(), 16, 47);
     DenseMatrix<double> out;
-    auto median_ns = [&](int reps) {
-      std::vector<std::uint64_t> t;
-      for (int r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        spmm(a, h, out);
-        t.push_back(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-      }
-      std::sort(t.begin(), t.end());
-      return t[t.size() / 2];
+    auto time_ns = [&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      spmm(a, h, out);
+      return static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
     };
-    std::uint64_t tuned_ns;
     {
       ScopedEnv tune_env("AGNN_TUNE", "on");
       spmm(a, h, out);  // pay the sampling cost outside the timed window
-      tuned_ns = median_ns(5);
     }
-    std::uint64_t auto_ns;
     {
       ScopedEnv tune_env("AGNN_TUNE", nullptr);
       spmm(a, h, out);  // warm the auto-path schedule cache symmetrically
-      auto_ns = median_ns(5);
     }
+    // Alternate the two dispatch paths rep by rep, so a burst of load from
+    // concurrently running processes falls on both medians rather than on
+    // whichever side happened to be timed during it.
+    constexpr int kReps = 9;
+    std::vector<std::uint64_t> tuned_t, auto_t;
+    for (int r = 0; r < kReps; ++r) {
+      {
+        ScopedEnv tune_env("AGNN_TUNE", "on");
+        tuned_t.push_back(time_ns());
+      }
+      ScopedEnv tune_env("AGNN_TUNE", nullptr);
+      auto_t.push_back(time_ns());
+    }
+    auto median = [](std::vector<std::uint64_t>& t) {
+      std::sort(t.begin(), t.end());
+      return t[t.size() / 2];
+    };
+    const std::uint64_t tuned_ns = median(tuned_t);
+    const std::uint64_t auto_ns = median(auto_t);
     // Noise bound, not a perf assertion: micro-kernels at this size jitter
     // heavily under CI/sanitizers, so "never loses" means "within a small
     // multiple plus a fixed floor", which still catches a pathological

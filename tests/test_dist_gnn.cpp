@@ -153,6 +153,35 @@ TEST(DistEngine, MaskedTrainingMatchesSequential) {
   });
 }
 
+// Each rank slices its rows out of the replicated labels and mask; a short
+// one must be rejected up front instead of read past its end on the last
+// rank. The assert fires inside a simulated rank, which ends the process.
+TEST(DistEngineDeath, TrainStepRejectsShortLabelsAndMask) {
+  // Re-execute for the child rather than fork: earlier tests in this binary
+  // may have started an OpenMP thread pool, which a forked child inherits
+  // in a broken state.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const index_t n = 16, k = 3;
+  const auto g = testing::small_graph<double>(n, 60, 5);
+  const auto x = testing::random_dense<double>(n, k, 6);
+  GnnConfig cfg;
+  cfg.kind = ModelKind::kGCN;
+  cfg.in_features = k;
+  cfg.layer_widths = {k};
+  const auto step = [&](std::size_t n_labels, std::size_t n_mask) {
+    comm::SpmdRuntime::run(4, [&](comm::Communicator& world) {
+      GnnModel<double> model(cfg);
+      DistGnnEngine<double> engine(world, g.adj, model);
+      SgdOptimizer<double> opt(0.1);
+      const std::vector<index_t> labels(n_labels, 0);
+      const std::vector<std::uint8_t> mask(n_mask, 1);
+      engine.train_step(x, labels, opt, mask);
+    });
+  };
+  EXPECT_DEATH(step(n - 1, 0), "labels must hold one entry per vertex");
+  EXPECT_DEATH(step(n, n - 1), "mask must be empty or hold one entry");
+}
+
 TEST(DistEngine, NonSquareRankCountRejected) {
   // The 1.5D engine requires a perfect-square rank count (square grid); the
   // check fires deterministically on every rank before any collective, and

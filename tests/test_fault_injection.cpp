@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -90,10 +91,18 @@ TEST(FaultSpec, RandomPlansAreSeedDeterministic) {
 // ---- fault firing at collectives ------------------------------------------
 
 struct FirePoint {
+  FirePoint(FaultKind k, int r, int p) : kind(k), rank(r), nranks(p) {}
   FaultKind kind;
+  // gtest names each case after a byte dump of this struct, so the bytes
+  // between `kind` and `rank` are spelled out and zeroed: left as implicit
+  // padding they carry whatever was on the stack into the test name.
+  std::uint8_t zero_pad[3] = {};
   int rank;    // faulted rank
   int nranks;  // world size
 };
+static_assert(sizeof(FirePoint) ==
+                  sizeof(FaultKind) + 3 + 2 * sizeof(int),
+              "FirePoint must have no implicit padding");
 
 class FaultFiring : public ::testing::TestWithParam<FirePoint> {};
 
