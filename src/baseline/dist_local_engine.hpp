@@ -15,20 +15,15 @@
 //
 // Per-rank compute uses the same fused kernels as the global engine, so the
 // two engines differ *only* in communication — exactly the comparison the
-// paper's analysis isolates.
+// paper's analysis isolates. The step plumbing (layer loop, loss, gradient
+// chaining) is the shared dist::EngineCoreBase; this file keeps only the
+// ghost exchange and the local-formulation layer math.
 #pragma once
 
 #include <algorithm>
 #include <vector>
 
-#include "comm/communicator.hpp"
-#include "core/layer.hpp"
-#include "core/loss.hpp"
-#include "core/model.hpp"
-#include "core/optimizer.hpp"
-#include "core/workspace.hpp"
-#include "dist/process_grid.hpp"
-#include "obs/trace.hpp"
+#include "dist/engine_core.hpp"
 
 namespace agnn::baseline {
 
@@ -46,95 +41,49 @@ struct LocalLayerCache {
 };
 
 template <typename T>
-class DistLocalEngine {
+class DistLocalEngine
+    : public dist::EngineCoreBase<T, GnnModel<T>, LocalLayerCache<T>,
+                                  DistLocalEngine<T>> {
+  using Base = dist::EngineCoreBase<T, GnnModel<T>, LocalLayerCache<T>,
+                                    DistLocalEngine<T>>;
+  friend Base;
+  using Base::n_;
+  using Base::world_;
+  using Base::ws_;
+
  public:
+  using Grads = LayerGrads<T>;
+  static constexpr const char* kForwardSpan = "local_dist.forward";
+  static constexpr const char* kTrainSpan = "local_dist.train_step";
+
   DistLocalEngine(comm::Communicator& world, const CsrMatrix<T>& a_global,
                   GnnModel<T>& model)
-      : world_(world),
+      : Base(world, a_global.rows(), model),
         p_(world.size()),
-        n_(a_global.rows()),
-        vr_(dist::block_range(n_, p_, world.rank())),
-        model_(model) {
+        vr_(dist::block_range(n_, p_, world.rank())) {
     build_partition(a_global);
     exchange_ghost_lists();
   }
 
-  index_t num_vertices() const { return n_; }
   const dist::BlockRange& owned_block() const { return vr_; }
   index_t num_ghosts() const { return static_cast<index_t>(ghost_ids_.size()); }
-  Workspace<T>& workspace() { return ws_; }
-  const WorkspaceStats& workspace_stats() const { return ws_.stats(); }
 
-  DenseMatrix<T> forward(const DenseMatrix<T>& x_global,
-                         std::vector<LocalLayerCache<T>>* caches) {
-    AGNN_TRACE_SCOPE("local_dist.forward", kPhase);
-    DenseMatrix<T> h_own = x_global.slice_rows(vr_.begin, vr_.end);
-    if (caches) caches->resize(model_.num_layers());  // keeps slot storage warm
-    for (std::size_t l = 0; l < model_.num_layers(); ++l) {
-      h_own = layer_forward(model_.layer(l), h_own, caches ? &(*caches)[l] : nullptr);
-    }
-    return h_own;
+  // Owned row blocks partition [0, n) in rank order, so the allgatherv
+  // concatenation IS the global matrix.
+  DenseMatrix<T> gather_output(const DenseMatrix<T>& h_own) {
+    return DenseMatrix<T>(n_, h_own.cols(), world_.allgatherv(h_own.flat()));
   }
-
-  DenseMatrix<T> infer(const DenseMatrix<T>& x_global) {
-    const DenseMatrix<T> h_own = forward(x_global, nullptr);
-    const std::vector<T> flat = world_.allgatherv(std::span<const T>(h_own.flat()));
-    return DenseMatrix<T>(n_, h_own.cols(), flat);
-  }
-
-  struct StepResult {
-    T loss = T(0);
-  };
-
-  StepResult train_step(const DenseMatrix<T>& x_global,
-                        std::span<const index_t> labels, Optimizer<T>& opt,
-                        std::span<const std::uint8_t> mask = {}) {
-    AGNN_TRACE_SCOPE("local_dist.train_step", kPhase);
-    // Every rank slices its own rows out of the replicated labels and mask,
-    // so a short one would be read past its end on the last rank.
-    AGNN_ASSERT(static_cast<index_t>(labels.size()) == n_,
-                "train_step: labels must hold one entry per vertex");
-    AGNN_ASSERT(mask.empty() || static_cast<index_t>(mask.size()) == n_,
-                "train_step: mask must be empty or hold one entry per vertex");
-    std::vector<LocalLayerCache<T>>& caches = caches_;  // persistent slots
-    const DenseMatrix<T> h_own = forward(x_global, &caches);
-
-    index_t active = 0;
-    for (index_t i = 0; i < static_cast<index_t>(labels.size()); ++i) {
-      if (mask.empty() || mask[static_cast<std::size_t>(i)]) ++active;
-    }
-    const auto local_labels = labels.subspan(static_cast<std::size_t>(vr_.begin),
-                                             static_cast<std::size_t>(vr_.size()));
-    const auto local_mask =
-        mask.empty() ? mask
-                     : mask.subspan(static_cast<std::size_t>(vr_.begin),
-                                    static_cast<std::size_t>(vr_.size()));
-    LossResult<T> loss = softmax_cross_entropy(h_own, local_labels, local_mask, active);
-    std::vector<T> loss_buf{loss.value};
-    world_.allreduce_sum(std::span<T>(loss_buf));
-
-    const auto& last = model_.layer(model_.num_layers() - 1);
-    DenseMatrix<T> g_own =
-        activation_backward(last.activation(), caches.back().z_own, loss.grad);
-
-    std::vector<LayerGrads<T>> grads(model_.num_layers());
-    for (std::size_t l = model_.num_layers(); l-- > 0;) {
-      DenseMatrix<T> gamma_own =
-          layer_backward(model_.layer(l), caches[l], g_own, grads[l]);
-      if (l > 0) {
-        g_own = activation_backward(model_.layer(l - 1).activation(),
-                                    caches[l - 1].z_own, gamma_own);
-      }
-    }
-    model_.apply_gradients(grads, opt);
-    return {loss_buf[0]};
-  }
-
-  // The world communicator (exposed so the recovery loop can barrier and
-  // rendezvous on the same group the engine trains over).
-  comm::Communicator& world() { return world_; }
 
  private:
+  // ---- engine-core policy hooks ---------------------------------------------
+
+  dist::BlockRange input_block() const { return vr_; }
+  // Row blocks are disjoint: every rank's loss contribution counts.
+  bool counts_in_loss() const { return true; }
+  const DenseMatrix<T>& cached_z(const LocalLayerCache<T>& c) const {
+    return c.z_own;
+  }
+
   // ---- setup ---------------------------------------------------------------
 
   void build_partition(const CsrMatrix<T>& a_global) {
@@ -169,16 +118,6 @@ class DistLocalEngine {
       }
     }
     local_adj_ = CsrMatrix<T>::from_coo(coo);
-
-    // Per-owner contiguous slices of the sorted ghost list.
-    ghost_slice_.assign(static_cast<std::size_t>(p_) + 1, 0);
-    for (int r = 0; r < p_; ++r) {
-      const auto range = dist::block_range(n_, p_, r);
-      const auto it = std::lower_bound(ghost_ids_.begin(), ghost_ids_.end(), range.begin);
-      ghost_slice_[static_cast<std::size_t>(r)] =
-          static_cast<index_t>(it - ghost_ids_.begin());
-    }
-    ghost_slice_[static_cast<std::size_t>(p_)] = static_cast<index_t>(ghost_ids_.size());
   }
 
   // Every rank learns, for every other rank r, which of r's ghosts it owns
@@ -219,7 +158,7 @@ class DistLocalEngine {
     auto win = world_.expose(std::span<const T>(h_own.flat()));
     for (std::size_t g = 0; g < ghost_ids_.size(); ++g) {
       const index_t id = ghost_ids_[g];
-      const int owner = owner_of(id);
+      const auto owner = static_cast<int>(dist::block_index_of(n_, p_, id));
       const auto range = dist::block_range(n_, p_, owner);
       win.get(table.row(own + static_cast<index_t>(g)), owner,
               static_cast<std::size_t>((id - range.begin) * k));
@@ -251,29 +190,12 @@ class DistLocalEngine {
     win.close();
   }
 
-  int owner_of(index_t id) const {
-    // Blocks are near-equal; locate by search over the p ranges.
-    int lo = 0, hi = p_ - 1;
-    while (lo < hi) {
-      const int mid = (lo + hi) / 2;
-      if (dist::block_range(n_, p_, mid).end <= id) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
   // ---- per-layer forward -----------------------------------------------------
 
   DenseMatrix<T> layer_forward(const Layer<T>& layer, const DenseMatrix<T>& h_own,
                                LocalLayerCache<T>* cache) {
     AGNN_TRACE_SCOPE("local_dist.layer_forward", kPhase);
-    DenseMatrix<T> w = layer.weights();
-    world_.broadcast(w.flat(), 0);
-    std::vector<T> a = layer.attention_params();
-    if (!a.empty()) world_.broadcast(std::span<T>(a), 0);
+    const dist::LayerParams<T> p = dist::broadcast_params(world_, layer);
 
     const index_t own = vr_.size();
     const index_t k_in = h_own.cols();
@@ -286,50 +208,45 @@ class DistLocalEngine {
     c.table.set_rows(0, h_own);
     fetch_ghost_rows_into(h_own, c.table);
 
-    DenseMatrix<T> w2 = layer.weights2();
-    if (!w2.empty()) world_.broadcast(w2.flat(), 0);
-
     comm::ComputeRegion t(world_.stats());
     switch (layer.kind()) {
       case ModelKind::kGCN: {
         spmm(local_adj_, c.table, c.ph_own);
-        matmul(c.ph_own, w, c.z_own);
+        matmul(c.ph_own, p.w, c.z_own);
         c.psi_loc = local_adj_;
         break;
       }
       case ModelKind::kGIN: {
         spmm(local_adj_, c.table, c.ph_own);  // X = A H ...
         axpy(T(1) + layer.gin_epsilon(), h_own, c.ph_own);  // ... + (1+eps) H
-        matmul(c.ph_own, w, c.mlp_pre_own);
+        matmul(c.ph_own, p.w, c.mlp_pre_own);
         activate(layer.mlp_activation(), c.mlp_pre_own, c.mlp_hidden_own, T(0.01));
-        matmul(c.mlp_hidden_own, w2, c.z_own);
+        matmul(c.mlp_hidden_own, p.w2, c.z_own);
         c.psi_loc = local_adj_;
         break;
       }
       case ModelKind::kVA: {
         sddmm(local_adj_, h_own, c.table, c.psi_loc);
         spmm(c.psi_loc, c.table, c.ph_own);
-        matmul(c.ph_own, w, c.z_own);
+        matmul(c.ph_own, p.w, c.z_own);
         break;
       }
       case ModelKind::kAGNN: {
         sddmm_unweighted(local_adj_, h_own, c.table, c.cos_loc);
         auto inv_r = ws_.acquire_vec(own);
         auto inv_c = ws_.acquire_vec(c.table.rows());
-        row_l2_norms(h_own, *inv_r);
-        row_l2_norms(c.table, *inv_c);
-        for (auto& v : *inv_r) v = v > T(0) ? T(1) / v : T(0);
-        for (auto& v : *inv_c) v = v > T(0) ? T(1) / v : T(0);
+        dist::inv_row_norms(h_own, *inv_r);
+        dist::inv_row_norms(c.table, *inv_c);
         scale_rows_cols<T>(c.cos_loc, inv_r.cspan(), inv_c.cspan(), c.cos_loc);
         hadamard_same_pattern(c.cos_loc, local_adj_, c.psi_loc);
         spmm(c.psi_loc, c.table, c.ph_own);
-        matmul(c.ph_own, w, c.z_own);
+        matmul(c.ph_own, p.w, c.z_own);
         break;
       }
       case ModelKind::kGAT: {
-        matmul(c.table, w, c.hp_table);
+        matmul(c.table, p.w, c.hp_table);
         const index_t k_out = layer.out_features();
-        const std::span<const T> a_all(a);
+        const std::span<const T> a_all(p.a);
         const auto a1 = a_all.subspan(0, static_cast<std::size_t>(k_out));
         const auto a2 = a_all.subspan(static_cast<std::size_t>(k_out));
         auto s1 = ws_.acquire_vec(own);
@@ -412,13 +329,7 @@ class DistLocalEngine {
         const std::vector<T> rs_own = sparse_row_sums(dc);
         const std::vector<T> cs_table = sparse_col_sums(dc);
         const std::vector<T> norms = row_l2_norms(cache.table);
-        DenseMatrix<T> hhat = cache.table;
-        for (index_t i = 0; i < hhat.rows(); ++i) {
-          const T ni = norms[static_cast<std::size_t>(i)];
-          if (ni <= T(0)) continue;
-          T* row = hhat.data() + i * k_in;
-          for (index_t j = 0; j < k_in; ++j) row[j] /= ni;
-        }
+        const DenseMatrix<T> hhat = dist::unit_rows(cache.table);
         const DenseMatrix<T> hhat_own = hhat.slice_rows(0, own);
         // Column-side (ghost-reaching) cosine contributions, scaled by 1/n_j.
         gamma_table = spmm(d_loc.transposed(), hhat_own);
@@ -503,18 +414,12 @@ class DistLocalEngine {
     return gamma_own;
   }
 
-  comm::Communicator& world_;
   int p_;
-  index_t n_;
   dist::BlockRange vr_;
-  GnnModel<T>& model_;
   CsrMatrix<T> local_adj_;          // owned rows x [owned; ghosts]
   std::vector<index_t> ghost_ids_;  // sorted global ids of ghost vertices
-  std::vector<index_t> ghost_slice_;  // per-owner ranges in ghost_ids_
   std::vector<index_t> incoming_offset_;               // per source rank
   std::vector<std::vector<index_t>> incoming_local_rows_;  // per source rank
-  Workspace<T> ws_;                          // per-rank scratch pool
-  std::vector<LocalLayerCache<T>> caches_;   // persistent training caches
 };
 
 }  // namespace agnn::baseline

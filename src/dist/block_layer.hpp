@@ -1,18 +1,20 @@
 // The block-distributed layer: every ModelKind's per-layer math, written once
-// for the 1.5D (dist_engine.hpp), 2D/3D SUMMA (dist_summa_engine.hpp) and
-// multi-head 1.5D (dist_multihead.hpp) engines.
+// for the 1D (dist_1d_engine.hpp), 1.5D (dist_engine.hpp), 2D/3D SUMMA
+// (dist_summa_engine.hpp) and multi-head 1.5D (dist_multihead.hpp) engines.
 //
-// All three distribute the adjacency (and every per-edge sparse matrix) in
+// All of them distribute the adjacency (and every per-edge sparse matrix) in
 // static blocks that never move, and keep tall dense matrices in three row
 // layouts:
 //
-//   * owned ("_o"): the rows a rank holds between layers (C_j in 1.5D, V_ij
-//     in SUMMA); every layer consumes and produces this layout;
+//   * owned ("_o"): the rows a rank holds between layers (its row block in
+//     1D, C_j in 1.5D, V_ij in SUMMA); every layer consumes and produces
+//     this layout;
 //   * column ("_c"): the rows of the rank's A column slice — the operand the
-//     local SpMM reads (C_j in 1.5D, where it IS the owned block; C_j^l in
-//     SUMMA, assembled from panels);
+//     local SpMM reads (all n rows in 1D, allgathered; C_j in 1.5D, where it
+//     IS the owned block; C_j^l in SUMMA, assembled from panels);
 //   * R ("_r"): the A row block R_i, identical on every rank of the row
-//     family after the partial sums of the local SpMMs are allreduced.
+//     family after the partial sums of the local SpMMs are allreduced (in
+//     1D the family is the rank alone and R_i is its owned block).
 //
 // Per the global formulation (Sections 4-6) the layer is the same sequence
 // of tensor ops in every distribution; only the moves between layouts and
@@ -49,7 +51,7 @@ namespace agnn::dist {
 template <typename T>
 struct BlockLayerCache {
   DenseMatrix<T> h_o;           // H^l, owned rows (the layer input)
-  DenseMatrix<T> h_c;           // H^l, column rows (SUMMA; 1.5D reads h_o)
+  DenseMatrix<T> h_c;           // H^l, column rows (1D, SUMMA; 1.5D reads h_o)
   DenseMatrix<T> h_r;           // H^l rows R_i (GIN/VA/AGNN)
   DenseMatrix<T> z_o;           // Z^l, owned rows
   CsrMatrix<T> psi_loc;         // Psi block
@@ -60,7 +62,7 @@ struct BlockLayerCache {
   DenseMatrix<T> mlp_hidden_r;  // sigma_mlp(X W)_Ri
   // GAT:
   DenseMatrix<T> hp_o;          // H' = H W, owned rows
-  DenseMatrix<T> hp_c;          // H', column rows (SUMMA; 1.5D reads hp_o)
+  DenseMatrix<T> hp_c;          // H', column rows (1D, SUMMA; 1.5D reads hp_o)
   CsrMatrix<T> scores_pre_loc;  // C block (pre-LeakyReLU)
   std::vector<T> s1_r, s2_c;
 };
@@ -96,6 +98,55 @@ void gat_edge_scores(const CsrMatrix<T>& a, index_t e0, index_t e1, T s1i,
     const T cv = s1i + s2_c[static_cast<std::size_t>(a.col_at(e))];
     pre[static_cast<std::size_t>(e)] = cv;
     ev[static_cast<std::size_t>(e)] = a.val_at(e) * (cv > T(0) ? cv : slope * cv);
+  }
+}
+
+// ---- local Psi block and SpMM over a whole column operand --------------------
+//
+// The layouts whose column operand is one whole matrix — the allgathered H
+// in 1D, the owned block C_j in 1.5D — build the Psi block and run the local
+// SpMM with the library kernels (SUMMA instead pipelines them per panel).
+// `h_c` holds the rows of a_loc's columns, c.h_r the rows R_i.
+
+// GCN/GIN/VA/AGNN: the Psi block, then the unreduced c.ph_r = Psi h_c.
+template <typename T>
+void local_aggregate(ModelKind kind, const CsrMatrix<T>& a_loc,
+                     const DenseMatrix<T>& h_c, Workspace<T>& ws,
+                     BlockLayerCache<T>& c) {
+  switch (kind) {
+    case ModelKind::kVA:
+      sddmm(a_loc, c.h_r, h_c, c.psi_loc);
+      break;
+    case ModelKind::kAGNN: {
+      // Cosine block: sampled dot products divided by the row/col norms.
+      // Norms are local because full feature rows are local in each layout.
+      sddmm_unweighted(a_loc, c.h_r, h_c, c.cos_loc);
+      auto nr = ws.acquire_vec(c.h_r.rows());
+      auto nc = ws.acquire_vec(h_c.rows());
+      inv_row_norms(c.h_r, *nr);
+      inv_row_norms(h_c, *nc);
+      scale_rows_cols<T>(c.cos_loc, nr.cspan(), nc.cspan(), c.cos_loc);
+      hadamard_same_pattern(c.cos_loc, a_loc, c.psi_loc);
+      break;
+    }
+    default:  // GCN, GIN: plain aggregation over A
+      c.psi_loc = a_loc;
+  }
+  spmm(c.psi_loc, h_c, c.ph_r);
+}
+
+// GAT: s2 = H'_c a2 over the column operand, then the raw E block.
+template <typename T>
+void local_gat_scores(const CsrMatrix<T>& a_loc, const DenseMatrix<T>& hp_c,
+                      std::span<const T> a2, T slope, BlockLayerCache<T>& c) {
+  matvec(hp_c, a2, c.s2_c);
+  c.scores_pre_loc = a_loc;
+  c.psi_loc = a_loc;
+  auto pre = c.scores_pre_loc.vals_mutable();
+  auto ev = c.psi_loc.vals_mutable();
+  for (index_t i = 0; i < a_loc.rows(); ++i) {
+    gat_edge_scores(a_loc, a_loc.row_begin(i), a_loc.row_end(i),
+                    c.s1_r[static_cast<std::size_t>(i)], c.s2_c, slope, pre, ev);
   }
 }
 

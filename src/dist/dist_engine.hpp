@@ -106,39 +106,12 @@ class Layout1_5D {
   void aggregate(ModelKind kind, const DenseMatrix<T>& h_b, Workspace<T>& ws,
                  BlockLayerCache<T>& c) {
     comm::ComputeRegion t(world_.stats());
-    switch (kind) {
-      case ModelKind::kVA:
-        sddmm(a_loc_, c.h_r, h_b, c.psi_loc);
-        break;
-      case ModelKind::kAGNN: {
-        // Cosine block: sampled dot products divided by the row/col norms.
-        // Norms are local because full feature rows are local in each layout.
-        sddmm_unweighted(a_loc_, c.h_r, h_b, c.cos_loc);
-        auto nr = ws.acquire_vec(ri_.size());
-        auto nc = ws.acquire_vec(cj_.size());
-        inv_row_norms(c.h_r, *nr);
-        inv_row_norms(h_b, *nc);
-        scale_rows_cols<T>(c.cos_loc, nr.cspan(), nc.cspan(), c.cos_loc);
-        hadamard_same_pattern(c.cos_loc, a_loc_, c.psi_loc);
-        break;
-      }
-      default:  // GCN, GIN: plain aggregation over A
-        c.psi_loc = a_loc_;
-    }
-    spmm(c.psi_loc, h_b, c.ph_r);
+    local_aggregate(kind, a_loc_, h_b, ws, c);
   }
 
   void gat_scores(std::span<const T> a2, T slope, BlockLayerCache<T>& c) {
     comm::ComputeRegion t(world_.stats());
-    matvec(c.hp_o, a2, c.s2_c);
-    c.scores_pre_loc = a_loc_;
-    c.psi_loc = a_loc_;
-    auto pre = c.scores_pre_loc.vals_mutable();
-    auto ev = c.psi_loc.vals_mutable();
-    for (index_t i = 0; i < a_loc_.rows(); ++i) {
-      gat_edge_scores(a_loc_, a_loc_.row_begin(i), a_loc_.row_end(i),
-                      c.s1_r[static_cast<std::size_t>(i)], c.s2_c, slope, pre, ev);
-    }
+    local_gat_scores(a_loc_, c.hp_o, a2, slope, c);
   }
 
  private:

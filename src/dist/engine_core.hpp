@@ -1,12 +1,13 @@
 // The policy-parameterized distributed engine core.
 //
 // Every member of the distribution family (1D row blocks, 1.5D square grid,
-// 2D SUMMA, 3D depth-replicated — see dist/dist_policy.hpp) and the
-// multi-head GAT engine share the same outer structure: slice the replicated
-// input to the rank's block, run the layer loop, compute the loss on owned
-// rows against the globally-reduced active count, allreduce the scalar loss,
-// chain activation backward through the cached pre-activations, and apply
-// globally-identical gradients.
+// 2D SUMMA, 3D depth-replicated — see dist/dist_policy.hpp), the multi-head
+// GAT engine and the ghost-exchange baseline (baseline/dist_local_engine.hpp)
+// share the same outer structure: slice the replicated input to the rank's
+// block, run the layer loop, compute the loss on owned rows against the
+// globally-reduced active count, allreduce the scalar loss, chain activation
+// backward through the cached pre-activations, and apply globally-identical
+// gradients.
 //
 // `EngineCoreBase<T, Model, Cache, Derived>` is that shared outer structure
 // as a CRTP base over a model type (GnnModel or MultiHeadGat). An engine
@@ -23,11 +24,11 @@
 //   DenseMatrix<T> gather_output(h)         reassemble the global matrix
 //   static constexpr kForwardSpan/kTrainSpan  trace span names
 //
-// The per-layer math itself lives elsewhere: dist/block_layer.hpp for the
-// block-distributed (1.5D, 2D, 3D, multi-head) engines, dist_1d_engine.hpp
-// for the 1D engine. The free helpers at the bottom (parameter broadcast,
-// distributed row softmax, row-normalized copies) are the building blocks
-// both use.
+// The per-layer math itself lives elsewhere: dist/block_layer.hpp for every
+// global-formulation engine (1D, 1.5D, 2D, 3D, multi-head), and the
+// baseline's own local-formulation layer for the ghost-exchange engine. The
+// free helpers at the bottom (parameter broadcast, distributed row softmax,
+// row-normalized copies) are the building blocks both use.
 #pragma once
 
 #include <vector>

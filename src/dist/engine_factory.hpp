@@ -1,9 +1,10 @@
 // Runtime selection over the distribution-policy family.
 //
-// The four engines share the EngineCoreBase surface but are distinct types
-// (their layouts and layer caches differ). `IDistEngine` erases that so benchmarks, the
-// differential harness, and examples can pick the distribution at runtime —
-// in particular from the AGNN_DIST environment knob (dist/dist_policy.hpp):
+// The four policies run three engine types, each a BlockEngine over its
+// layout (Layout1D, Layout1_5D, SummaLayout for 2D and 3D) and so distinct
+// C++ types. `IDistEngine` erases that so benchmarks, the differential
+// harness, and examples can pick the distribution at runtime — in
+// particular from the AGNN_DIST environment knob (dist/dist_policy.hpp):
 //
 //   AGNN_DIST=1d | 1.5d | 2d | 3d | auto     (AGNN_DIST_DEPTH=d for 3d)
 //

@@ -301,11 +301,12 @@ void fused_gat_aggregate(const CsrMatrix<T>& a, std::span<const T> s1,
   out.resize(n, kx);
   out.fill(T(0));
   sched = rd.sched;
-  // The per-row score buffer: rows in whole-row chunks are never larger than
-  // the split threshold, so this stays small and is reused across calls.
-  auto row_body = [&](index_t i, index_t b, index_t e) {
+  // The per-row score buffer, sized once per worker on entry to the parallel
+  // region to the largest row the schedule leaves whole, so the steady state
+  // allocates nothing whichever rows a worker draws.
+  const auto whole_max = static_cast<std::size_t>(sched->max_whole_row_nnz());
+  auto row_body = [&](T* scores, index_t i, index_t b, index_t e) {
     if (b == e) return;
-    T* scores = detail::schedule_arena<T, 1>(static_cast<std::size_t>(e - b));
     const T s1i = s1[static_cast<std::size_t>(i)];
     T mx = -std::numeric_limits<T>::infinity();
     for (index_t t = b; t < e; ++t) {
@@ -329,8 +330,14 @@ void fused_gat_aggregate(const CsrMatrix<T>& a, std::span<const T> s1,
     }
   };
   if (sched->row_parallel()) {
-#pragma omp parallel for schedule(dynamic, 64)
-    for (index_t i = 0; i < n; ++i) row_body(i, a.row_begin(i), a.row_end(i));
+#pragma omp parallel
+    {
+      T* scores = detail::schedule_arena<T, 1>(whole_max);
+#pragma omp for schedule(dynamic, 64)
+      for (index_t i = 0; i < n; ++i) {
+        row_body(scores, i, a.row_begin(i), a.row_end(i));
+      }
+    }
     return;
   }
   // Chunked online softmax + aggregation, never materializing a split row's
@@ -356,6 +363,7 @@ void fused_gat_aggregate(const CsrMatrix<T>& a, std::span<const T> s1,
                                       static_cast<std::size_t>(kx));
 #pragma omp parallel
   {
+    T* scores = detail::schedule_arena<T, 1>(whole_max);
 #pragma omp for schedule(dynamic, 1)
     for (index_t ci = 0; ci < nc; ++ci) {
       const KernelSchedule::Chunk& c = cs[static_cast<std::size_t>(ci)];
@@ -378,7 +386,7 @@ void fused_gat_aggregate(const CsrMatrix<T>& a, std::span<const T> s1,
         pstat[2 * c.piece + 1] = sum;
       } else {
         for (index_t i = c.row_begin; i < c.row_end; ++i) {
-          row_body(i, a.row_begin(i), a.row_end(i));
+          row_body(scores, i, a.row_begin(i), a.row_end(i));
         }
       }
     }

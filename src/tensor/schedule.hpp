@@ -206,6 +206,7 @@ class KernelSchedule {
     s.policy_ = resolve_schedule_policy(s.stats_, requested, s.grain_);
     switch (s.policy_) {
       case SchedulePolicy::kRowParallel:
+        s.max_whole_row_nnz_ = s.stats_.max_row_nnz;
         break;  // no chunks: kernels use their legacy row loop
       case SchedulePolicy::kEdgeBalanced:
         s.build_edge_balanced(row_ptr);
@@ -231,6 +232,10 @@ class KernelSchedule {
   index_t num_split_rows() const {
     return static_cast<index_t>(split_rows_.size());
   }
+  // The largest row the schedule leaves whole (every row when row-parallel):
+  // the bound per-row scratch is sized to once per worker, on entry to the
+  // parallel region, so which rows a worker draws never grows it.
+  index_t max_whole_row_nnz() const { return max_whole_row_nnz_; }
 
  private:
   // Split row `r` into near-equal pieces of <= grain edges each and record
@@ -273,6 +278,7 @@ class KernelSchedule {
         open_r0 = r + 1;
         continue;
       }
+      max_whole_row_nnz_ = std::max(max_whole_row_nnz_, rn);
       if (e - row_ptr[static_cast<std::size_t>(open_r0)] >= grain_) {
         chunks_.push_back({open_r0, r + 1, row_ptr[static_cast<std::size_t>(open_r0)], e, -1});
         open_r0 = r + 1;
@@ -330,6 +336,7 @@ class KernelSchedule {
         flush(r);
         continue;
       }
+      max_whole_row_nnz_ = std::max(max_whole_row_nnz_, rn);
       if (open_r0 < 0) open_r0 = r;
       open_edges += rn;
       if (open_edges >= grain_) flush(r + 1);
@@ -340,6 +347,7 @@ class KernelSchedule {
   SchedulePolicy requested_ = SchedulePolicy::kAuto;
   SchedulePolicy policy_ = SchedulePolicy::kRowParallel;
   index_t grain_ = kDefaultScheduleGrain;
+  index_t max_whole_row_nnz_ = 0;
   ScheduleStats stats_;
   std::vector<Chunk> chunks_;
   std::vector<Piece> pieces_;

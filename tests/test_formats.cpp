@@ -22,9 +22,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
+#include <ostream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -453,12 +454,38 @@ void expect_outputs_bitwise(const FormatSweepOutputs& got,
   EXPECT_TRUE(dense_bits_equal(got.gat, ref.gat)) << "fused_gat_aggregate";
 }
 
-class FormatEquivalence
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+// One sweep case: an env-knob value crossed with a graph family.
+struct KnobCase {
+  const char* value;
+  int family;
+};
+
+std::string knob_case_name(const KnobCase& c) {
+  return std::string(c.value) + "_" + family_name(c.family);
+}
+
+// gtest lists each case's parameter beside its name, and the discovered
+// ctest names carry that text: print the case by name rather than as the
+// address of its string, so the names are the same on every discovery.
+void PrintTo(const KnobCase& c, std::ostream* os) { *os << knob_case_name(c); }
+
+std::vector<KnobCase> knob_cases(std::initializer_list<const char*> values) {
+  std::vector<KnobCase> cases;
+  for (const char* v : values) {
+    for (int f = 0; f < kFamilyCount; ++f) cases.push_back({v, f});
+  }
+  return cases;
+}
+
+std::string knob_case_test_name(const ::testing::TestParamInfo<KnobCase>& pi) {
+  return knob_case_name(pi.param);
+}
+
+class FormatEquivalence : public ::testing::TestWithParam<KnobCase> {};
 
 TEST_P(FormatEquivalence, DispatchedKernelsMatchScalarCsrBitwise) {
-  const char* format = std::get<0>(GetParam());
-  const auto in = make_format_inputs(std::get<1>(GetParam()));
+  const char* format = GetParam().value;
+  const auto in = make_format_inputs(GetParam().family);
   ScopedEnv pol("AGNN_SCHEDULE", "row");
   FormatSweepOutputs ref;
   {
@@ -469,21 +496,15 @@ TEST_P(FormatEquivalence, DispatchedKernelsMatchScalarCsrBitwise) {
   expect_outputs_bitwise(run_dispatched_kernels(in), ref);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, FormatEquivalence,
-    ::testing::Combine(::testing::Values("sell", "bcsr", "auto"),
-                       ::testing::Range(0, static_cast<int>(kFamilyCount))),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, int>>& pi) {
-      return std::string(std::get<0>(pi.param)) + "_" +
-             family_name(std::get<1>(pi.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Sweep, FormatEquivalence,
+                         ::testing::ValuesIn(knob_cases({"sell", "bcsr", "auto"})),
+                         knob_case_test_name);
 
-class SellScheduleIndependence
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+class SellScheduleIndependence : public ::testing::TestWithParam<KnobCase> {};
 
 TEST_P(SellScheduleIndependence, ScheduleKnobNeverChangesBlockedResults) {
-  const char* policy = std::get<0>(GetParam());
-  const auto in = make_format_inputs(std::get<1>(GetParam()));
+  const char* policy = GetParam().value;
+  const auto in = make_format_inputs(GetParam().family);
   FormatSweepOutputs ref;
   {
     ScopedEnv fmt("AGNN_FORMAT", nullptr);
@@ -496,14 +517,9 @@ TEST_P(SellScheduleIndependence, ScheduleKnobNeverChangesBlockedResults) {
   expect_outputs_bitwise(run_dispatched_kernels(in), ref);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SellScheduleIndependence,
-    ::testing::Combine(::testing::Values("row", "edge", "hybrid"),
-                       ::testing::Range(0, static_cast<int>(kFamilyCount))),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, int>>& pi) {
-      return std::string(std::get<0>(pi.param)) + "_" +
-             family_name(std::get<1>(pi.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Sweep, SellScheduleIndependence,
+                         ::testing::ValuesIn(knob_cases({"row", "edge", "hybrid"})),
+                         knob_case_test_name);
 
 // In-place value mutation between calls must be visible to the blocked
 // paths: the cached conversion is pattern-only and values are read through

@@ -356,6 +356,55 @@ TEST(TrainStepTraffic, OneFiveDMatchesRecorded) {
   }
 }
 
+// The 1D engine is BlockLayer over the row-block layout (dist_1d_engine.hpp).
+// These values were recorded at p = 3 (8 rows per rank) from the engine's
+// earlier hand-derived layer. GCN, GIN and VA still move exactly that. Two
+// kinds differ, both by whole collectives:
+//   * AGNN reduces its three column terms (cs, the dTheta rows and the
+//     aggregation gradient) separately, where the hand-derived layer summed
+//     them into one n x k_in allreduce: per layer, one more allreduce of n
+//     words and one more of n x k_in.
+//   * GAT reduces ds2 on its own (one more allreduce of n words per layer),
+//     and its column term is dH' (n x k_out) instead of Gamma (n x k_in);
+//     likewise the forward allgathers H' (k_out) instead of H (k_in).
+TEST(TrainStepTraffic, OneDMatchesRecorded) {
+  const TrafficSetup s;
+  constexpr std::uint64_t p = 3, ceil_log2_p = 2;
+  const std::uint64_t n = TrafficSetup::kN, own = n / p, w = sizeof(double);
+  // One allreduce: 2x its bytes and 2 messages per rank, 2 ceil(log2 p)
+  // supersteps.
+  const auto allreduces = [&](std::uint64_t count, std::uint64_t words) {
+    return StepTraffic{2 * words * w, count * 2 * p, count * 2 * ceil_log2_p};
+  };
+  const auto plus = [](StepTraffic t, const StepTraffic& d) {
+    return StepTraffic{t.max_bytes + d.max_bytes, t.messages + d.messages,
+                       t.supersteps + d.supersteps};
+  };
+  // Layer widths 5 -> 6 -> 3: summed over the layers, k_out - k_in is
+  // 1 - 3 = -2 columns, on (n - own) allgathered and 2n allreduced rows.
+  const std::uint64_t gat_width_bytes_saved = (3 - 1) * ((n - own) + 2 * n) * w;
+  StepTraffic gat = plus({7232, 66, 40}, allreduces(2, 2 * n));
+  gat.max_bytes -= gat_width_bytes_saved;
+  const StepTraffic agnn_terms = allreduces(4, n * (1 + 5) + n * (1 + 6));
+  const std::map<ModelKind, StepTraffic> expected = {
+      {ModelKind::kGCN, {6800, 48, 28}},
+      {ModelKind::kGIN, {7880, 66, 40}},
+      {ModelKind::kVA, {6800, 48, 28}},
+      {ModelKind::kAGNN, plus({6800, 48, 28}, agnn_terms)},
+      {ModelKind::kGAT, gat},
+  };
+  for (const ModelKind kind : kAllKinds) {
+    const CsrMatrix<double> adj = s.adj(kind);
+    const StepTraffic got = s.step(
+        static_cast<int>(p), [&](comm::Communicator& world, auto run) {
+          GnnModel<double> model(TrafficSetup::config(kind));
+          Dist1dGlobalEngine<double> engine(world, adj, model);
+          run(engine);
+        });
+    EXPECT_EQ(got, expected.at(kind)) << "1d p=3 " << to_string(kind);
+  }
+}
+
 TEST(TrainStepTraffic, SummaMatchesRecorded) {
   const TrafficSetup s;
   const GridShape grid_2d{DistPolicy::k2D, 2, 2, 1};
